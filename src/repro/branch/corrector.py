@@ -5,13 +5,108 @@ branches (exactly the behaviour probabilistic branches trigger: a branch
 that is taken 70% of the time with no history correlation).  The corrector
 is a small GEHL-like perceptron over short histories plus a per-branch bias
 table; when its weighted vote disagrees confidently with TAGE, it overrides.
+
+Like TAGE, the per-branch work is generated once per geometry
+(:mod:`repro.branch.codegen`); :func:`sc_lookup` and :func:`sc_train`
+are the templates TAGE-SC-L fuses into its kernel.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
-from .folded import FoldedHistory
+from .codegen import FoldPlan, block, compile_kernel, join
+
+#: (bias entries, table entries, history lengths, TAGE weight, threshold)
+SCGeometry = Tuple[int, int, Tuple[int, ...], int, int]
+
+
+def sc_plan(geometry: SCGeometry) -> FoldPlan:
+    _, entries, lengths, _, _ = geometry
+    index_bits = entries.bit_length() - 1
+    return FoldPlan([(n, index_bits) for n in lengths], max(lengths) + 2)
+
+
+def sc_lookup(geometry: SCGeometry, S: str, q: str) -> str:
+    """Source computing the corrector's vote for ``pc`` given TAGE's
+    proposal ``q``.  Binds the table indices ``b0`` (bias) and ``s0``…
+    and the weighted sum ``total``; the corrector predicts
+    ``total >= 0``."""
+    bias_entries, entries, lengths, weight, _ = geometry
+    plan = sc_plan(geometry)
+    index_bits = entries.bit_length() - 1
+    names = [f"s{j}" for j in range(len(lengths))]
+    lines = [
+        plan.load(S, "hc", "e"),
+        f"{''.join(f'c{j}, ' for j in range(len(lengths)))}= {S}.tables",
+        f"b0 = ((pc << 1) | (1 if {q} else 0)) & {bias_entries - 1}",
+    ]
+    for j, n in enumerate(lengths):
+        lines.append(f"s{j} = (pc ^ {plan.expr(n, index_bits, 'hc', 'e')}) & {entries - 1}")
+    # Each counter votes 2 * c + 1; TAGE's proposal votes +-weight.
+    votes = " + ".join(f"c{j}[{name}]" for j, name in enumerate(names))
+    odd = len(lengths) + 1
+    lines.append(
+        f"total = 2 * ({S}.bias[b0] + {votes}) "
+        f"+ ({odd + weight} if {q} else {odd - weight})"
+    )
+    return "\n".join(lines)
+
+
+def sc_train(geometry: SCGeometry, S: str) -> str:
+    """Source training the corrector state ``S`` with the names
+    :func:`sc_lookup` bound, then shifting ``b`` into its history."""
+    _, _, lengths, _, threshold = geometry
+    counters = [("bias", "b0")] + [(f"c{j}", f"s{j}") for j in range(len(lengths))]
+    up = "\n".join(
+        f"x = {t}[{k}]\nif x < 31:\n    {t}[{k}] = x + 1" for t, k in counters
+    )
+    down = "\n".join(
+        f"x = {t}[{k}]\nif x > -32:\n    {t}[{k}] = x - 1" for t, k in counters
+    )
+    return join(
+        # Train on mispredictions and on correct predictions whose margin
+        # is below the threshold.  The default threshold exceeds the
+        # maximum attainable |total| but for a handful of vote patterns,
+        # i.e. the counters train on (nearly) every branch: on i.i.d.
+        # biased branches (exactly what probabilistic branches look like)
+        # the counters then saturate at the bias sign instead of
+        # dithering around zero, which a small dead-zone threshold
+        # provokes (each update moves |total| by twice the number of
+        # tables, overshooting any small dead zone).
+        f"if (total >= 0) != taken or -{threshold} <= total <= {threshold}:",
+        f"    bias = {S}.bias",
+        f"    {''.join(f'c{j}, ' for j in range(len(lengths)))}= {S}.tables",
+        "    if taken:",
+        block(up, 2),
+        "    else:",
+        block(down, 2),
+        sc_plan(geometry).shift(S, "hc", "e", "b"),
+    )
+
+
+def sc_source(geometry: SCGeometry) -> str:
+    return join(
+        "def combine(s, pc, tage_pred):",
+        block(sc_lookup(geometry, "s", "tage_pred"), 1),
+        "    s._ctx = (b0, " + "".join(f"s{j}, " for j in range(len(geometry[2]))) + "total)",
+        "    return total >= 0",
+        "",
+        "def update(s, pc, taken):",
+        "    ctx = s._ctx",
+        "    if ctx is None:",
+        "        combine(s, pc, False)",
+        "        ctx = s._ctx",
+        "    s._ctx = None",
+        "    b0, " + "".join(f"s{j}, " for j in range(len(geometry[2]))) + "total = ctx",
+        "    b = 1 if taken else 0",
+        block(sc_train(geometry, "s"), 1),
+        "",
+        "def insert_history(s, pc, taken):",
+        "    s._ctx = None",
+        "    b = 1 if taken else 0",
+        block(sc_plan(geometry).shift("s", "hc", "e", "b"), 1),
+    )
 
 
 class StatisticalCorrector:
@@ -27,78 +122,29 @@ class StatisticalCorrector:
         tage_weight: int = 9,
         threshold: int = 256,
     ):
-        self.bias = [0] * bias_entries
-        self._bias_mask = bias_entries - 1
+        self.bias_entries = bias_entries
+        self.table_entries = table_entries
         self.history_lengths = tuple(history_lengths)
-        self.tables: List[List[int]] = [
-            [0] * table_entries for _ in self.history_lengths
-        ]
-        self._table_mask = table_entries - 1
-        self._index_bits = table_entries.bit_length() - 1
-        self._folds = [
-            FoldedHistory(length, self._index_bits)
-            for length in self.history_lengths
-        ]
-        self._history = 0
-        self._history_mask = (1 << (max(history_lengths) + 2)) - 1
         self.tage_weight = tage_weight
         self.threshold = threshold
-        self._ctx = None
+        self._kernel = compile_kernel(sc_source, self.geometry)
+        self.reset()
+
+    @property
+    def geometry(self) -> SCGeometry:
+        return (self.bias_entries, self.table_entries, self.history_lengths,
+                self.tage_weight, self.threshold)
 
     # ------------------------------------------------------------------
-    def _indices(self, pc: int, tage_pred: bool) -> List[int]:
-        pred_bit = 1 if tage_pred else 0
-        indices = [((pc << 1) | pred_bit) & self._bias_mask]
-        for fold in self._folds:
-            indices.append((pc ^ fold.comp) & self._table_mask)
-        return indices
-
     def combine(self, pc: int, tage_pred: bool) -> bool:
         """Final prediction given TAGE's proposal."""
-        indices = self._indices(pc, tage_pred)
-        total = 2 * self.bias[indices[0]] + 1
-        for table, index in zip(self.tables, indices[1:]):
-            total += 2 * table[index] + 1
-        total += self.tage_weight if tage_pred else -self.tage_weight
-        prediction = total >= 0
-        self._ctx = (indices, total, tage_pred)
-        return prediction
+        return self._kernel.combine(self, pc, tage_pred)
 
     def update(self, pc: int, taken: bool) -> None:
-        if self._ctx is None:
-            self.combine(pc, False)
-        indices, total, tage_pred = self._ctx
-        self._ctx = None
-
-        prediction = total >= 0
-        # Train on mispredictions and on correct predictions whose margin
-        # is below the threshold.  The default threshold exceeds the
-        # maximum attainable |total|, i.e. the counters train on every
-        # branch: on i.i.d. biased branches (exactly what probabilistic
-        # branches look like) the counters then saturate at the bias sign
-        # instead of dithering around zero, which a small dead-zone
-        # threshold provokes (each update moves |total| by twice the
-        # number of tables, overshooting any small dead zone).
-        if prediction != taken or abs(total) <= self.threshold:
-            delta = 1 if taken else -1
-            index0 = indices[0]
-            self.bias[index0] = _clamp(self.bias[index0] + delta,
-                                       self.CTR_MIN, self.CTR_MAX)
-            for table, index in zip(self.tables, indices[1:]):
-                table[index] = _clamp(table[index] + delta,
-                                      self.CTR_MIN, self.CTR_MAX)
-
-        self._shift_history(taken)
+        self._kernel.update(self, pc, taken)
 
     def insert_history(self, pc: int, taken: bool) -> None:
-        self._ctx = None
-        self._shift_history(taken)
-
-    def _shift_history(self, taken: bool) -> None:
-        bit = 1 if taken else 0
-        self._history = ((self._history << 1) | bit) & self._history_mask
-        for fold in self._folds:
-            fold.update(self._history, bit)
+        self._kernel.insert_history(self, pc, taken)
 
     # ------------------------------------------------------------------
     def storage_bits(self) -> int:
@@ -106,13 +152,10 @@ class StatisticalCorrector:
         return counters * 6 + (max(self.history_lengths) + 2)
 
     def reset(self) -> None:
-        self.bias = [0] * len(self.bias)
-        self.tables = [[0] * (self._table_mask + 1) for _ in self.history_lengths]
-        for fold in self._folds:
-            fold.reset()
+        self.bias = [0] * self.bias_entries
+        self.tables: List[List[int]] = [
+            [0] * self.table_entries for _ in self.history_lengths
+        ]
         self._history = 0
+        self._folds = sc_plan(self.geometry).cold()
         self._ctx = None
-
-
-def _clamp(value: int, lo: int, hi: int) -> int:
-    return lo if value < lo else hi if value > hi else value

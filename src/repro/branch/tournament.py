@@ -14,8 +14,8 @@ component       configuration            bits
 bimodal         1024 x 2-bit             2048
 global (gshare) 2048 x 2-bit + 10h       4106
 chooser         256 x 2-bit              512
-loop            32 entries x 41 bits     1312
-total                                    7978  (< 8192 = 1 KB)
+loop            32 entries x 39 bits     1248
+total                                    7914  (< 8192 = 1 KB)
 ==============  =======================  ======
 """
 

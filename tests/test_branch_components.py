@@ -13,9 +13,14 @@ from repro.branch import (
     FoldedHistory,
     GShare,
     LoopPredictor,
+    StatisticalCorrector,
+    Tage,
+    TageSCL,
     TwoLevelLocal,
     saturating_update,
 )
+from repro.branch.corrector import sc_plan
+from repro.branch.tage import tage_plan
 
 
 class TestSaturatingCounter:
@@ -146,6 +151,61 @@ class TestFoldedHistory:
         fold.update(1, 1)
         fold.reset()
         assert fold.comp == 0
+
+    @staticmethod
+    def assert_plan_matches_oracle(plan, history, folds):
+        values = plan.values(history, folds)
+        assert values == {
+            (length, width): FoldedHistory(length, width).recompute(history)
+            for length, width in plan.pairs
+        }
+
+    @given(
+        st.sampled_from([4, 64, 256, 512, 1024]),
+        st.integers(min_value=3, max_value=12),
+        st.lists(st.integers(min_value=1, max_value=160), min_size=1,
+                 max_size=7, unique=True),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_folds_match_recompute(self, entries, tag_bits, lengths, seed):
+        # Every fold a TAGE-SC-L kernel keeps incrementally or reads as a
+        # mask equals the reference fold of the history it ended with,
+        # after a random mix of trained branches and inserted history.
+        predictor = TageSCL(
+            tage=Tage(table_entries=entries, tag_bits=tag_bits,
+                      history_lengths=sorted(lengths)),
+            corrector=StatisticalCorrector(history_lengths=sorted(lengths)[:3]),
+        )
+        rng = random.Random(seed)
+        for _ in range(rng.randrange(1, 400)):
+            pc, taken = rng.randrange(1 << 12), rng.random() < 0.6
+            if rng.random() < 0.3:
+                predictor.insert_history(pc, taken)
+            else:
+                predictor.predict(pc)
+                predictor.update(pc, taken)
+        for component, plan in ((predictor.tage, tage_plan(predictor.tage.geometry)),
+                                (predictor.corrector,
+                                 sc_plan(predictor.corrector.geometry))):
+            self.assert_plan_matches_oracle(plan, component._history,
+                                            component._folds)
+        index_bits = entries.bit_length() - 1
+        assert set(tage_plan(predictor.tage.geometry).pairs) == {
+            (length, width) for length in lengths
+            for width in (index_bits, tag_bits, tag_bits - 1)
+        }
+
+    def test_default_geometry_shares_and_masks_folds(self):
+        tage = tage_plan(Tage().geometry)
+        corrector = sc_plan(StatisticalCorrector().geometry)
+        # The 9-bit index fold and the 9-bit first tag fold are one fold.
+        assert len(tage.pairs) == 12  # 18 (length, width) reads
+        # Lengths 2/4/8 against 9 and 8 bits (and the corrector's length
+        # 4 against 8) are masks: 8 incremental folds remain of 21.
+        assert tage.kept == ((16, 9), (16, 8), (32, 9), (32, 8), (64, 9), (64, 8))
+        assert corrector.kept == ((10, 8), (16, 8))
+        assert tage.expr(8, 9, "h", "f") == tage.expr(8, 8, "h", "f") == "(h & 255)"
 
 
 class TestLoopPredictor:

@@ -1,5 +1,7 @@
 """Behavioural tests for the tournament and TAGE-SC-L predictors."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -13,6 +15,9 @@ from repro.branch import (
     Tournament,
     predictor_budget,
 )
+from repro.branch import codegen
+from repro.sim import predictor_names
+from repro.sim.registry import create_predictor
 
 
 def misprediction_rate(predictor, sequence, warmup=500):
@@ -57,6 +62,18 @@ class TestStorageBudgets:
     def test_tagescl_uses_most_of_budget(self):
         # A predictor that only uses half its budget is not a fair baseline.
         assert TageSCL().storage_bits() >= 0.85 * 8 * KIB
+
+    def test_budget_figures_are_pinned(self):
+        # The Section VI-B budgets exactly as the tournament and TAGE-SC-L
+        # module docstrings tabulate them.
+        assert Tournament().storage_bits() == 7914
+        assert predictor_budget(Tournament(), KIB).items == {
+            "bimodal": 2048, "gshare": 4106, "loop": 1248, "chooser": 512,
+        }
+        assert TageSCL().storage_bits() == 60232
+        assert predictor_budget(TageSCL(), 8 * KIB).items == {
+            "tage": 8192 + 43008 + 86, "corrector": 7698, "loop": 1248,
+        }
 
 
 class TestLoopBranches:
@@ -107,6 +124,16 @@ class TestHistoryCorrelation:
         assert tage_rate < 0.05
 
 
+def predictions(predictor, sequence):
+    out = []
+    for step, (pc, taken) in enumerate(sequence):
+        out.append(predictor.predict(pc))
+        predictor.update(pc, taken)
+        if step % 7 == 0:
+            predictor.insert_history(pc + 1, not taken)
+    return out
+
+
 class TestTageInternals:
     def test_prediction_context_consumed_by_update(self):
         predictor = Tage()
@@ -119,23 +146,79 @@ class TestTageInternals:
         predictor.update(10, True)  # must not raise
 
     def test_reset_restores_cold_state(self):
-        predictor = Tage()
-        for step in range(2000):
-            predictor.predict(step % 37)
-            predictor.update(step % 37, step % 3 == 0)
-        predictor.reset()
-        assert predictor._history == 0
-        assert all(
-            entry.ctr == 0 and entry.tag == 0 and entry.useful == 0
-            for table in predictor.tables
-            for entry in table
-        )
+        # Behavioural, not layout: a warmed-up predictor that is reset
+        # predicts a fresh stream bit-for-bit like a new instance.
+        sequence = biased_sequence(0.6, 1500, seed=8)
+        factories = [Tage] + [
+            (lambda name=name: create_predictor(name)) for name in predictor_names()
+        ]
+        for factory in factories:
+            warmed = factory()
+            for step in range(2000):
+                warmed.predict(step % 37)
+                warmed.update(step % 37, step % 3 == 0)
+                if step % 5 == 0:
+                    warmed.insert_history(step % 11, step % 2 == 0)
+            warmed.predict(5)  # leave a pending prediction context behind
+            warmed.reset()
+            assert predictions(warmed, sequence) == predictions(factory(), sequence)
 
     def test_lfsr_is_deterministic(self):
         a, b = Tage(), Tage()
         assert [a._next_random() for _ in range(10)] == [
             b._next_random() for _ in range(10)
         ]
+
+
+def warmed_tagescl():
+    predictor = TageSCL()
+    predictions(predictor, biased_sequence(0.7, 1500, seed=4) + loop_sequence(5, 200))
+    predictor.predict(300)  # a pending prediction context travels too
+    return predictor
+
+
+def pickle_round_trip(predictor):
+    # Unpickle with an empty kernel cache, as a fresh process would.
+    data = pickle.dumps(predictor)
+    saved = dict(codegen._KERNELS)
+    codegen._KERNELS.clear()
+    try:
+        return pickle.loads(data)
+    finally:
+        codegen._KERNELS.update(saved)
+
+
+class TestCopyAndPickle:
+    """Generated kernels take the predictor state as an argument, so a
+    copy predicts like its original and evolves independently of it."""
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, pickle_round_trip],
+                             ids=["deepcopy", "pickle"])
+    def test_warmed_tagescl_copy(self, clone):
+        sequence = biased_sequence(0.6, 1500, seed=6) + loop_sequence(9, 100)
+        original = warmed_tagescl()
+        twin = clone(original)
+        for a, b in ((original, twin), (original.tage, twin.tage),
+                     (original.corrector, twin.corrector),
+                     (original.loop, twin.loop)):
+            assert a is not b
+            assert all(value is not vars(b)[key] for key, value in vars(a).items()
+                       if isinstance(value, list))
+        twin.update(300, True)
+        original.update(300, True)
+        assert predictions(twin, sequence) == predictions(original, sequence)
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, pickle_round_trip],
+                             ids=["deepcopy", "pickle"])
+    def test_copy_state_is_independent(self, clone):
+        sequence = biased_sequence(0.6, 1500, seed=6)
+        original = warmed_tagescl()
+        twin = clone(original)
+        # Train only the copy, on a different stream: the original must
+        # behave exactly like an untouched warmed-up predictor.
+        predictions(twin, loop_sequence(4, 300) + biased_sequence(0.3, 500))
+        reference = warmed_tagescl()
+        assert predictions(original, sequence) == predictions(reference, sequence)
 
 
 class TestStatisticalCorrector:
