@@ -20,6 +20,8 @@ from .codegen import FoldPlan, block, compile_kernel, join
 #: (bias entries, table entries, history lengths, TAGE weight, threshold)
 SCGeometry = Tuple[int, int, Tuple[int, ...], int, int]
 
+CTR_MIN, CTR_MAX = -32, 31  # 6-bit signed counters
+
 
 def sc_plan(geometry: SCGeometry) -> FoldPlan:
     _, entries, lengths, _, _ = geometry
@@ -59,10 +61,10 @@ def sc_train(geometry: SCGeometry, S: str) -> str:
     _, _, lengths, _, threshold = geometry
     counters = [("bias", "b0")] + [(f"c{j}", f"s{j}") for j in range(len(lengths))]
     up = "\n".join(
-        f"x = {t}[{k}]\nif x < 31:\n    {t}[{k}] = x + 1" for t, k in counters
+        f"x = {t}[{k}]\nif x < {CTR_MAX}:\n    {t}[{k}] = x + 1" for t, k in counters
     )
     down = "\n".join(
-        f"x = {t}[{k}]\nif x > -32:\n    {t}[{k}] = x - 1" for t, k in counters
+        f"x = {t}[{k}]\nif x > {CTR_MIN}:\n    {t}[{k}] = x - 1" for t, k in counters
     )
     return join(
         # Train on mispredictions and on correct predictions whose margin
@@ -112,7 +114,7 @@ def sc_source(geometry: SCGeometry) -> str:
 class StatisticalCorrector:
     """GEHL-style corrector with one bias table and short-history tables."""
 
-    CTR_MIN, CTR_MAX = -32, 31  # 6-bit signed counters
+    CTR_MIN, CTR_MAX = CTR_MIN, CTR_MAX
 
     def __init__(
         self,

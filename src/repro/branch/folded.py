@@ -5,6 +5,11 @@ table indices of ~9 bits.  Recomputing the XOR-fold from scratch at every
 branch would dominate simulation time, so we maintain the fold
 incrementally, exactly as in Michaud/Seznec's championship predictor code:
 one shifted-in bit and one shifted-out bit per branch.
+
+The TAGE-family kernels do not instantiate this class: their
+:class:`~repro.branch.codegen.FoldPlan` emits the same update inline,
+once per distinct fold.  :class:`FoldedHistory` stays the reference
+those kernels are tested against.
 """
 
 from __future__ import annotations

@@ -32,6 +32,8 @@ from .simple import Bimodal
 # iterations of every loop pattern in the workloads.
 DEFAULT_HISTORY_LENGTHS = (2, 4, 8, 16, 32, 64)
 
+CTR_MIN, CTR_MAX = -4, 3  # signed 3-bit counters; taken if >= 0
+
 #: (base entries, table entries, tag bits, history lengths, aging period)
 TageGeometry = Tuple[int, int, int, Tuple[int, ...], int]
 
@@ -153,9 +155,9 @@ def tage_train(geometry: TageGeometry, T: str) -> str:
                 elif u > 0:
                     us[pi] = u - 1
             if taken:
-                if c < 3:
+                if c < {CTR_MAX}:
                     ctrs[pi] = c + 1
-            elif c > -4:
+            elif c > {CTR_MIN}:
                 ctrs[pi] = c - 1
         # The base predictor trains when it provided or served as the
         # alternate.
@@ -206,7 +208,7 @@ def tage_source(geometry: TageGeometry) -> str:
 class Tage(BranchPredictor):
     """The TAGE predictor proper (no loop predictor, no corrector)."""
 
-    CTR_MIN, CTR_MAX = -4, 3
+    CTR_MIN, CTR_MAX = CTR_MIN, CTR_MAX
 
     def __init__(
         self,
@@ -265,7 +267,7 @@ class Tage(BranchPredictor):
     def reset(self) -> None:
         self.base.reset()
         size = self.num_tables * self.table_entries
-        self._ctrs = [0] * size  # signed 3-bit counters in [-4, 3]; taken if >= 0
+        self._ctrs = [0] * size
         self._tags = [0] * size
         self._us = [0] * size    # 2-bit usefulness
         self._history = 0
