@@ -206,6 +206,9 @@ class TestFoldedHistory:
         assert tage.kept == ((16, 9), (16, 8), (32, 9), (32, 8), (64, 9), (64, 8))
         assert corrector.kept == ((10, 8), (16, 8))
         assert tage.expr(8, 9, "h", "f") == tage.expr(8, 8, "h", "f") == "(h & 255)"
+        source = TageSCL()._kernel.source
+        update = source[source.index("def update"):source.index("def insert_history")]
+        assert update.count("<< 1) | b) ^") == 8
 
 
 class TestLoopPredictor:
