@@ -15,7 +15,15 @@ ways:
 
 The harness paths run with and without ``filter_probabilistic``.  Each
 case pins a SHA-256 of the prediction bits plus the final
-``BranchStats`` in ``tests/golden/predictor-streams.json``.  Any
+``BranchStats`` in ``tests/golden/predictor-streams.json``.
+
+The ``core-*`` paths drive the same branch stream, interleaved with
+ALU, load and store rows that carry random sources, destinations and
+addresses, through the 4- and 8-wide ``OoOCore`` under tournament,
+TAGE-SC-L and the perfect predictor, with ``filter_probabilistic``,
+``pbs_inserts_history=False`` and a non-empty ``oracle_pcs``.  Each
+pins the prediction bits, ``cycles``, ``branch_stall_cycles`` and the
+final ``BranchStats``, reached through ``OoOCore.feed`` per event.  Any
 predictor change must keep every digest.  Regenerate only after an
 *intentional* change of predictor semantics, with::
 
@@ -39,6 +47,8 @@ from repro.branch import (
 )
 from repro.functional import EventBatch
 from repro.functional.trace import ProbMode, TraceEvent
+from repro.isa.opcodes import OpClass
+from repro.pipeline import OoOCore, eight_wide, four_wide
 from repro.sim import predictor_names
 from repro.sim.registry import create_predictor
 
@@ -93,6 +103,25 @@ PREDICTORS.update({
 
 PATHS = ("direct", "call", "call-filter", "batch", "batch-filter")
 
+CORE_PREDICTORS = ("perfect", "tage-sc-l", "tournament")
+CORE_CONFIGS = {"4w": four_wide, "8w": eight_wide}
+#: A loop branch, the correlated branch and a probabilistic pc that is
+#: also a PBS hit at times: the hit takes precedence over the queue.
+ORACLE_PCS = frozenset({0x400 + 8 * 7, 0xC00, 0x804})
+CORE_VARIANTS = {
+    "plain": {},
+    "filter": {"filter_probabilistic": True},
+    "no-insert": {"pbs_inserts_history": False},
+    "oracle": {"oracle_pcs": ORACLE_PCS},
+    "oracle-filter": {"oracle_pcs": ORACLE_PCS, "filter_probabilistic": True},
+}
+CORE_PATHS = tuple(f"core-{config}-{variant}"
+                   for config in CORE_CONFIGS for variant in CORE_VARIANTS)
+#: Classes of the non-branch rows in a core stream.
+FILLER_CLASSES = (OpClass.IALU, OpClass.IALU, OpClass.IMUL, OpClass.FALU,
+                  OpClass.FDIV, OpClass.RAND, OpClass.LOAD, OpClass.LOAD,
+                  OpClass.STORE)
+
 
 def make_stream(seed):
     """A list of ``TraceEvent``s: branches with non-branch fillers."""
@@ -141,10 +170,39 @@ def make_stream(seed):
     return events
 
 
+def make_core_stream(seed):
+    """The branch stream of :func:`make_stream` for the timing model.
+
+    Each filler row becomes one to three ALU, load or store rows with
+    random registers and (for memory rows) a random word address; branch
+    rows read random registers and write none.
+    """
+    rng = random.Random(seed + 1)
+    regs = lambda: tuple(rng.randrange(32) for _ in range(rng.randrange(3)))
+    events = []
+    for event in make_stream(seed):
+        if event.is_cond_branch:
+            events.append(TraceEvent(
+                event.pc, 2, OpClass.BRANCH, -1, regs(), is_cond_branch=True,
+                taken=event.taken, target=event.target,
+                next_pc=event.next_pc, prob_mode=event.prob_mode))
+            continue
+        for _ in range(1 + rng.randrange(3)):
+            op_class = FILLER_CLASSES[rng.randrange(len(FILLER_CLASSES))]
+            is_store = op_class == OpClass.STORE
+            addr = (rng.randrange(1 << 14)
+                    if op_class in (OpClass.LOAD, OpClass.STORE) else None)
+            events.append(TraceEvent(
+                event.pc, 1, op_class, -1 if is_store else rng.randrange(32),
+                regs(), next_pc=event.pc + 4, addr=addr, is_store=is_store))
+    return events
+
+
 class _Recorder:
     """Delegates to a predictor and records every prediction it makes."""
 
     def __init__(self, predictor, bits):
+        self.name = predictor.name
         self.perfect = predictor.perfect
         self.static_prediction = predictor.static_prediction
         self._predictor = predictor
@@ -218,7 +276,24 @@ def drive_harness(predictor, events, seed, batched, filter_probabilistic):
     return bits, harness.stats
 
 
+def drive_core(predictor, events, path):
+    """Feed ``events`` to an ``OoOCore``; returns bits, stats, cycles."""
+    _, config, variant = path.split("-", 2)
+    bits = bytearray()
+    core = OoOCore(CORE_CONFIGS[config](), _Recorder(predictor, bits),
+                   **CORE_VARIANTS[variant])
+    for event in events:
+        core.feed(event)
+    stats = core.finalize()
+    return bits, stats.branches, {
+        "cycles": stats.cycles,
+        "branch_stall_cycles": stats.branch_stall_cycles,
+    }
+
+
 def run_case(name, path, seed, events=None):
+    if path.startswith("core-"):
+        return run_core_case(name, path, seed, events)
     if events is None:
         events = make_stream(seed)
     predictor = PREDICTORS[name]()
@@ -236,17 +311,40 @@ def run_case(name, path, seed, events=None):
             "stats": tally}
 
 
+def run_core_case(name, path, seed, events=None):
+    if events is None:
+        events = make_core_stream(seed)
+    bits, stats, timing = drive_core(PREDICTORS[name](), events, path)
+    tally = {key: value for key, value in stats.as_dict().items()
+             if key != "mpki"}
+    digest = hashlib.sha256(bytes(bits))
+    digest.update(json.dumps({**timing, "stats": tally},
+                             sort_keys=True).encode())
+    return {"sha256": digest.hexdigest(), "predictions": len(bits),
+            **timing, "stats": tally}
+
+
 def case_id(name, path, seed):
     return f"{name}/{path}/seed{seed}"
 
 
-def compute_all():
-    out = {}
+def all_cases():
     for seed in STREAM_SEEDS:
-        events = make_stream(seed)
         for name in PREDICTORS:
             for path in PATHS:
-                out[case_id(name, path, seed)] = run_case(name, path, seed, events)
+                yield name, path, seed
+        for name in CORE_PREDICTORS:
+            for path in CORE_PATHS:
+                yield name, path, seed
+
+
+def compute_all():
+    out = {}
+    streams = {seed: make_stream(seed) for seed in STREAM_SEEDS}
+    core_streams = {seed: make_core_stream(seed) for seed in STREAM_SEEDS}
+    for name, path, seed in all_cases():
+        events = (core_streams if path.startswith("core-") else streams)[seed]
+        out[case_id(name, path, seed)] = run_case(name, path, seed, events)
     return out
 
 
@@ -260,11 +358,13 @@ def streams():
     return {seed: make_stream(seed) for seed in STREAM_SEEDS}
 
 
+@pytest.fixture(scope="module")
+def core_streams():
+    return {seed: make_core_stream(seed) for seed in STREAM_SEEDS}
+
+
 def test_fixture_covers_every_case(pinned):
-    assert sorted(pinned) == sorted(
-        case_id(name, path, seed)
-        for seed in STREAM_SEEDS for name in PREDICTORS for path in PATHS
-    )
+    assert sorted(pinned) == sorted(case_id(*case) for case in all_cases())
 
 
 @pytest.mark.parametrize("name", sorted(PREDICTORS))
@@ -272,6 +372,14 @@ def test_fixture_covers_every_case(pinned):
 def test_stream_matches_pin(name, path, pinned, streams):
     for seed in STREAM_SEEDS:
         got = run_case(name, path, seed, streams[seed])
+        assert got == pinned[case_id(name, path, seed)], case_id(name, path, seed)
+
+
+@pytest.mark.parametrize("name", CORE_PREDICTORS)
+@pytest.mark.parametrize("path", CORE_PATHS)
+def test_core_matches_pin(name, path, pinned, core_streams):
+    for seed in STREAM_SEEDS:
+        got = run_core_case(name, path, seed, core_streams[seed])
         assert got == pinned[case_id(name, path, seed)], case_id(name, path, seed)
 
 
