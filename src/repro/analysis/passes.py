@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import compress
 from typing import Dict, Optional, Sequence
 
-from ..functional.trace import ProbMode, TraceEvent
+from ..functional.trace import EventBatch, ProbMode
 from ..isa.opcodes import OpClass
 from .base import AnalysisPass, register_analysis
 
@@ -237,7 +238,8 @@ class MispredictBreakdown(AnalysisPass):
     predictor over the stream — the exact component a
     :class:`~repro.sim.Session` attaches — so the aggregate counters are
     **bit-identical** to the equivalent live run.  On top of the
-    harness, the pass attributes every mispredict to its branch site.
+    harness, the pass charges every mispredicted row a harness returns
+    to its branch site.
 
     ``predictors`` defaults to the paper's baselines; ``top`` bounds the
     per-branch tables (most mispredicts first), ``None`` keeps all.
@@ -260,69 +262,17 @@ class MispredictBreakdown(AnalysisPass):
         self.executions: Counter = Counter()
 
     def __call__(self, event) -> None:
-        if event.is_cond_branch:
-            self.executions[event.pc] += 1
-            for name, harness in self.harnesses.items():
-                before = harness.stats.mispredicts
-                harness(event)
-                if harness.stats.mispredicts != before:
-                    self.per_pc[name][event.pc] += 1
-        else:
-            for harness in self.harnesses.values():
-                harness(event)
+        self.consume_batch(EventBatch.from_events((event,)))
 
     def consume_batch(self, batch) -> None:
-        """Columnar fast path, bit-identical to the per-event walk.
-
-        Non-branch rows only bump every harness's instruction counter,
-        so they are accounted in bulk; branch rows (sparse — found with
-        a C-level column scan) keep the exact per-event attribution
-        semantics, including each harness's own predict/update order.
-        """
-        conds = batch.conds
-        n = len(conds)
-        find = conds.index
-        branch_rows = []
-        i = 0
-        while True:
-            try:
-                i = find(True, i)
-            except ValueError:
-                break
-            branch_rows.append(i)
-            i += 1
-        bulk = n - len(branch_rows)
-        harness_items = list(self.harnesses.items())
-        for _, harness in harness_items:
-            harness.stats.instructions += bulk
-        if not branch_rows:
-            return
+        """Run every harness over the batch and charge each mispredicted
+        row it returns to that row's branch site."""
         pcs = batch.pcs
-        executions = self.executions
-        per_pc = self.per_pc
-        make = TraceEvent
-        for i in branch_rows:
-            pc = pcs[i]
-            event = make(
-                pc,
-                batch.ops[i],
-                batch.classes[i],
-                batch.dests[i],
-                batch.srcs[i],
-                is_cond_branch=True,
-                taken=batch.takens[i],
-                target=batch.targets[i],
-                next_pc=batch.next_pcs[i],
-                addr=batch.addrs[i],
-                is_store=batch.stores[i],
-                prob_mode=batch.prob_modes[i],
-            )
-            executions[pc] += 1
-            for name, harness in harness_items:
-                before = harness.stats.mispredicts
-                harness(event)
-                if harness.stats.mispredicts != before:
-                    per_pc[name][pc] += 1
+        self.executions.update(compress(pcs, batch.conds))
+        for name, harness in self.harnesses.items():
+            per_pc = self.per_pc[name]
+            for i in harness.consume_batch(batch):
+                per_pc[pcs[i]] += 1
 
     def result(self) -> Dict:
         payload = {}

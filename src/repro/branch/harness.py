@@ -1,27 +1,42 @@
-"""Trace-driven branch predictor harness and MPKI accounting.
+"""The branch step: one conditional-branch accounting rule for every consumer.
 
-:class:`PredictorHarness` is a trace sink: feed it the functional
-simulator's events and it accumulates per-category misprediction counts.
+:func:`branch_step` walks the conditional-branch rows of an
+:class:`~repro.functional.EventBatch`, drives a predictor with them and
+accumulates per-category misprediction counts in a :class:`BranchStats`.
 The categories mirror the paper's Figure 1: *probabilistic* branches
-(PROB_JMP instances that consult the predictor) versus *regular* branches.
+(PROB_JMP instances that consult the predictor) versus *regular*
+branches.  It is the only implementation of that rule:
+:class:`PredictorHarness` (MPKI, Figures 6 and 9), the out-of-order
+core (IPC, Figures 7 and 8) and the ``mispredicts`` analysis pass all
+compose it.
 
-Two paper-specific behaviours live here:
+Three paper-specific behaviours live here:
 
-* **PBS bypass** — events marked :data:`ProbMode.PBS_HIT` never touch the
-  predictor: no prediction, no update, no history shift, and by
-  construction no misprediction (Section III-B: the direction is known at
-  fetch).
+* **PBS bypass** — rows marked :data:`ProbMode.PBS_HIT` never touch the
+  predictor's tables and by construction never mispredict (Section
+  III-B: the direction is known at fetch).  The known direction is
+  shifted into the predictor's history unless ``pbs_inserts_history``
+  is off.
+* **Branch-on-queue** — control-flow decoupling's branches (at
+  ``oracle_pcs``) read their predicate at fetch: never mispredicted and
+  invisible to the predictor.
 * **Filtering** (Figure 9's interference experiment) — with
   ``filter_probabilistic=True``, probabilistic branches do not access or
   update the predictor even though PBS is off; their own mispredictions
-  are charged statically so regular-branch interference can be isolated.
+  are charged statically (not taken) so regular-branch interference can
+  be isolated.
+
+:class:`PredictorHarness` is a columnar trace sink around the step;
+calling it with one :class:`~repro.functional.TraceEvent` is a one-row
+adapter over :meth:`PredictorHarness.consume_batch`.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from itertools import compress
+from typing import Dict, List
 
-from ..functional.trace import ProbMode, TraceEvent
+from ..functional.trace import EventBatch, ProbMode, TraceEvent
 from .base import BranchPredictor
 
 
@@ -83,8 +98,100 @@ class BranchStats:
         }
 
 
+def branch_step(
+    predictor: BranchPredictor,
+    stats: BranchStats,
+    batch: EventBatch,
+    filter_probabilistic: bool,
+    pbs_inserts_history: bool,
+    oracle_pcs,
+) -> List[int]:
+    """Account every row of ``batch`` in ``stats``; return the
+    indices of the mispredicted conditional-branch rows, in order.
+
+    Only conditional-branch rows are visited (``compress`` over the
+    ``conds`` column is a C-level scan).  Each is handled by the first arm that applies:
+    PBS hit, branch-on-queue (``oracle_pcs``), filtered probabilistic
+    branch, perfect predictor, then predict and update.  A predictor
+    that declares a ``static_prediction`` has its table calls folded
+    away.
+    """
+    conds = batch.conds
+    stats.instructions += len(conds)
+
+    perfect = predictor.perfect
+    static_prediction = None if perfect else predictor.static_prediction
+    predict = predictor.predict
+    update = predictor.update
+    insert_history = predictor.insert_history
+    pcs = batch.pcs
+    takens = batch.takens
+    prob_modes = batch.prob_modes
+    PBS_HIT = ProbMode.PBS_HIT
+    PREDICTED = ProbMode.PREDICTED
+
+    mispredicted: List[int] = []
+    miss = mispredicted.append
+    regular_branches = 0
+    regular_mispredicts = 0
+    prob_branches = 0
+    prob_mispredicts = 0
+    pbs_hits = 0
+
+    for i in compress(range(len(conds)), conds):
+        prob_mode = prob_modes[i]
+        taken = takens[i]
+        if prob_mode == PBS_HIT:
+            # PBS supplies the direction at fetch: the predictor is
+            # neither probed nor updated.
+            pbs_hits += 1
+            if pbs_inserts_history:
+                insert_history(pcs[i], taken)
+        elif pcs[i] in oracle_pcs:
+            # CFD branch-on-queue: the predicate is waiting at fetch.
+            regular_branches += 1
+        elif prob_mode == PREDICTED and filter_probabilistic:
+            # Figure 9 experiment: keep probabilistic branches out of
+            # the predictor; charge them a static not-taken prediction.
+            prob_branches += 1
+            if taken:
+                prob_mispredicts += 1
+                miss(i)
+        elif perfect:
+            if prob_mode == PREDICTED:
+                prob_branches += 1
+            else:
+                regular_branches += 1
+        else:
+            if static_prediction is None:
+                prediction = predict(pcs[i])
+                update(pcs[i], taken)
+            else:
+                # Vectorized-update kernel: the predictor declared a
+                # constant prediction and a no-op update, so the table
+                # calls fold away entirely.
+                prediction = static_prediction
+            if prob_mode == PREDICTED:
+                prob_branches += 1
+                if prediction != taken:
+                    prob_mispredicts += 1
+                    miss(i)
+            else:
+                regular_branches += 1
+                if prediction != taken:
+                    regular_mispredicts += 1
+                    miss(i)
+
+    stats.regular_branches += regular_branches
+    stats.regular_mispredicts += regular_mispredicts
+    stats.prob_branches += prob_branches
+    stats.prob_mispredicts += prob_mispredicts
+    stats.pbs_hits += pbs_hits
+    return mispredicted
+
+
 class PredictorHarness:
-    """Feeds conditional-branch events to a predictor and keeps stats."""
+    """Feeds conditional-branch rows to a predictor and keeps stats."""
 
     def __init__(
         self,
@@ -101,130 +208,18 @@ class PredictorHarness:
         self.stats = BranchStats()
 
     def __call__(self, event: TraceEvent) -> None:
-        stats = self.stats
-        stats.instructions += 1
-        if not event.is_cond_branch:
-            return
+        self.consume_batch(EventBatch.from_events((event,)))
 
-        prob_mode = event.prob_mode
-        if prob_mode == ProbMode.PBS_HIT:
-            # PBS supplies the direction at fetch: the predictor is neither
-            # probed nor updated, and no misprediction is possible.
-            stats.pbs_hits += 1
-            if self.pbs_inserts_history:
-                self.predictor.insert_history(event.pc, event.taken)
-            return
-
-        is_prob = prob_mode == ProbMode.PREDICTED
-        if is_prob and self.filter_probabilistic:
-            # Figure 9 experiment: keep probabilistic branches out of the
-            # predictor; charge them a static not-taken prediction.
-            stats.prob_branches += 1
-            if event.taken:
-                stats.prob_mispredicts += 1
-            return
-
-        predictor = self.predictor
-        if predictor.perfect:
-            if is_prob:
-                stats.prob_branches += 1
-            else:
-                stats.regular_branches += 1
-            return
-
-        prediction = predictor.predict(event.pc)
-        predictor.update(event.pc, event.taken)
-        mispredicted = prediction != event.taken
-        if is_prob:
-            stats.prob_branches += 1
-            if mispredicted:
-                stats.prob_mispredicts += 1
-        else:
-            stats.regular_branches += 1
-            if mispredicted:
-                stats.regular_mispredicts += 1
-
-    def consume_batch(self, batch) -> None:
-        """Columnar fast path: consume an :class:`EventBatch`.
-
-        Bit-identical to feeding every event through :meth:`__call__`,
-        but walks the batch's parallel arrays directly — no TraceEvent
-        construction, no per-event call crossing, all hot lookups
-        hoisted out of the loop.  Only conditional-branch rows are
-        visited (``conds.index(True, i)`` is a C-level scan).
-        """
-        stats = self.stats
-        conds = batch.conds
-        n = len(conds)
-        stats.instructions += n
-
-        predictor = self.predictor
-        perfect = predictor.perfect
-        filter_prob = self.filter_probabilistic
-        inserts = self.pbs_inserts_history
-        static_prediction = None if perfect else predictor.static_prediction
-        predict = predictor.predict
-        update = predictor.update
-        insert_history = predictor.insert_history
-        pcs = batch.pcs
-        takens = batch.takens
-        prob_modes = batch.prob_modes
-        find = conds.index
-        PBS_HIT = ProbMode.PBS_HIT
-        PREDICTED = ProbMode.PREDICTED
-
-        regular_branches = 0
-        regular_mispredicts = 0
-        prob_branches = 0
-        prob_mispredicts = 0
-        pbs_hits = 0
-
-        i = 0
-        while True:
-            try:
-                i = find(True, i)
-            except ValueError:
-                break
-            prob_mode = prob_modes[i]
-            taken = takens[i]
-            if prob_mode == PBS_HIT:
-                pbs_hits += 1
-                if inserts:
-                    insert_history(pcs[i], taken)
-            elif prob_mode == PREDICTED and filter_prob:
-                prob_branches += 1
-                if taken:
-                    prob_mispredicts += 1
-            elif perfect:
-                if prob_mode == PREDICTED:
-                    prob_branches += 1
-                else:
-                    regular_branches += 1
-            else:
-                if static_prediction is None:
-                    prediction = predict(pcs[i])
-                    update(pcs[i], taken)
-                else:
-                    # Vectorized-update kernel: the predictor declared a
-                    # constant prediction and a no-op update, so the
-                    # table calls fold away entirely.
-                    prediction = static_prediction
-                mispredicted = prediction != taken
-                if prob_mode == PREDICTED:
-                    prob_branches += 1
-                    if mispredicted:
-                        prob_mispredicts += 1
-                else:
-                    regular_branches += 1
-                    if mispredicted:
-                        regular_mispredicts += 1
-            i += 1
-
-        stats.regular_branches += regular_branches
-        stats.regular_mispredicts += regular_mispredicts
-        stats.prob_branches += prob_branches
-        stats.prob_mispredicts += prob_mispredicts
-        stats.pbs_hits += pbs_hits
+    def consume_batch(self, batch: EventBatch) -> List[int]:
+        """Account one batch; returns its mispredicted row indices."""
+        return branch_step(
+            self.predictor,
+            self.stats,
+            batch,
+            self.filter_probabilistic,
+            self.pbs_inserts_history,
+            frozenset(),
+        )
 
 
 def measure_mpki(
@@ -234,6 +229,5 @@ def measure_mpki(
 ) -> BranchStats:
     """Convenience: run a stored event list through a fresh harness."""
     harness = PredictorHarness(predictor, filter_probabilistic)
-    for event in events:
-        harness(event)
+    harness.consume_batch(EventBatch.from_events(events))
     return harness.stats

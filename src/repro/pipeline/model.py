@@ -18,6 +18,11 @@ four first-order mechanisms PBS interacts with:
 Issue-port contention is deliberately not modelled (interval-model
 approximation); with realistic widths the bandwidth and window constraints
 dominate.
+
+The core is a columnar sink: :meth:`OoOCore.consume_batch` runs the
+shared :func:`~repro.branch.harness.branch_step` over an
+:class:`~repro.functional.EventBatch`, then times its rows in one loop.
+:meth:`OoOCore.feed` is a one-row adapter for per-event callers.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from collections import deque
 from typing import Dict, Optional
 
 from ..branch.base import BranchPredictor
-from ..functional.trace import ProbMode, TraceEvent
+from ..branch.harness import branch_step
+from ..functional.trace import EventBatch, TraceEvent
 from ..isa.opcodes import OpClass
 from ..memory import MemoryHierarchy
 from .config import CoreConfig
@@ -66,137 +72,126 @@ class OoOCore:
         self._commit_cycle = 0
         self._commit_slots = 0
         self._commit_times = deque()
-        self._last_cycle = 0
 
     # ------------------------------------------------------------------
     def __call__(self, event: TraceEvent) -> None:
         self.feed(event)
 
     def feed(self, event: TraceEvent) -> None:
+        """One-row adapter over :meth:`consume_batch`."""
+        self.consume_batch(EventBatch.from_events((event,)))
+
+    def consume_batch(self, batch: EventBatch) -> None:
+        """Time one batch of committed-path rows.
+
+        The branch step runs first over the whole batch: predictor
+        state never depends on timing, so its mispredicted rows are
+        known before the timing loop reaches them.
+        """
+        stats = self.stats
+        mispredicted = branch_step(
+            self.predictor,
+            stats.branches,
+            batch,
+            self.filter_probabilistic,
+            self.pbs_inserts_history,
+            self.oracle_pcs,
+        )
+        misses = iter(mispredicted)
+        next_miss = next(misses, -1)
+        stats.instructions += len(batch.pcs)
+
         config = self.config
         width = config.width
-        stats = self.stats
-        stats.instructions += 1
-
-        # ----- dispatch: front-end bandwidth + ROB occupancy -----------
-        dispatch = self._frontend_ready
-        commit_times = self._commit_times
-        if len(commit_times) >= config.rob_size:
-            # The slot frees the cycle after its occupant commits.
-            oldest = commit_times.popleft()
-            if oldest + 1 > dispatch:
-                dispatch = oldest + 1
-        if dispatch > self._dispatch_cycle:
-            self._dispatch_cycle = dispatch
-            self._dispatch_slots = 1
-        else:
-            if self._dispatch_slots >= width:
-                self._dispatch_cycle += 1
-                self._dispatch_slots = 1
-            else:
-                self._dispatch_slots += 1
-            dispatch = self._dispatch_cycle
-
-        # ----- issue & execute: dataflow ------------------------------
-        ready = dispatch + 1
+        rob_size = config.rob_size
+        penalty = config.mispredict_penalty
+        latencies = self._latency
+        store_latency = latencies[OpClass.STORE]
+        access = self.hierarchy.access
         reg_ready = self._reg_ready
-        for reg in event.srcs:
-            when = reg_ready.get(reg, 0)
-            if when > ready:
-                ready = when
+        get_ready = reg_ready.get
+        commit_times = self._commit_times
+        retire_oldest = commit_times.popleft
+        enter_window = commit_times.append
+        LOAD = OpClass.LOAD
+        STORE = OpClass.STORE
 
-        op_class = event.op_class
-        if op_class == OpClass.LOAD:
-            latency = self.hierarchy.access(event.addr)
-        elif op_class == OpClass.STORE:
-            self.hierarchy.access(event.addr)
-            latency = self._latency[OpClass.STORE]
-        else:
-            latency = self._latency[op_class]
-        complete = ready + latency
+        frontend_ready = self._frontend_ready
+        dispatch_cycle = self._dispatch_cycle
+        dispatch_slots = self._dispatch_slots
+        commit_cycle = self._commit_cycle
+        commit_slots = self._commit_slots
+        branch_stall_cycles = 0
 
-        if event.dest >= 0:
-            reg_ready[event.dest] = complete
+        for i, (srcs, op_class, dest, addr) in enumerate(
+            zip(batch.srcs, batch.classes, batch.dests, batch.addrs)
+        ):
+            # ----- dispatch: front-end bandwidth + ROB occupancy -------
+            dispatch = frontend_ready
+            if len(commit_times) >= rob_size:
+                # The slot frees the cycle after its occupant commits.
+                freed = retire_oldest() + 1
+                if freed > dispatch:
+                    dispatch = freed
+            if dispatch > dispatch_cycle:
+                dispatch_cycle = dispatch
+                dispatch_slots = 1
+            else:
+                if dispatch_slots >= width:
+                    dispatch_cycle += 1
+                    dispatch_slots = 1
+                else:
+                    dispatch_slots += 1
+                dispatch = dispatch_cycle
 
-        # ----- branches: predictor interaction ------------------------
-        if event.is_cond_branch:
-            mispredicted = self._handle_branch(event)
-            if mispredicted:
-                self._frontend_ready = complete + config.mispredict_penalty
+            # ----- issue & execute: dataflow --------------------------
+            ready = dispatch + 1
+            for reg in srcs:
+                when = get_ready(reg, 0)
+                if when > ready:
+                    ready = when
+            if op_class == LOAD:
+                complete = ready + access(addr)
+            elif op_class == STORE:
+                access(addr)
+                complete = ready + store_latency
+            else:
+                complete = ready + latencies[op_class]
+            if dest >= 0:
+                reg_ready[dest] = complete
+
+            # ----- mispredicted branch: stall fetch until it resolves --
+            if i == next_miss:
+                next_miss = next(misses, -1)
+                frontend_ready = complete + penalty
                 # CPI-stack attribution: the front-end sits idle from the
                 # cycle after the branch entered the window until it
                 # resolves and the pipeline refills.
-                stall = self._frontend_ready - (dispatch + 1)
+                stall = frontend_ready - (dispatch + 1)
                 if stall > 0:
-                    stats.branch_stall_cycles += stall
+                    branch_stall_cycles += stall
 
-        # ----- commit: in order, width per cycle -----------------------
-        commit = complete
-        if commit < self._commit_cycle:
-            commit = self._commit_cycle
-        if commit == self._commit_cycle:
-            if self._commit_slots >= width:
-                commit += 1
-                self._commit_slots = 1
+            # ----- commit: in order, width per cycle -------------------
+            if complete > commit_cycle:
+                commit_cycle = complete
+                commit_slots = 1
+            elif commit_slots >= width:
+                commit_cycle += 1
+                commit_slots = 1
             else:
-                self._commit_slots += 1
-        else:
-            self._commit_slots = 1
-        self._commit_cycle = commit
-        commit_times.append(commit)
-        if commit > self._last_cycle:
-            self._last_cycle = commit
+                commit_slots += 1
+            enter_window(commit_cycle)
 
-    # ------------------------------------------------------------------
-    def _handle_branch(self, event: TraceEvent) -> bool:
-        """Consult the predictor; returns True on a misprediction."""
-        stats = self.stats
-        prob_mode = event.prob_mode
-
-        if prob_mode == ProbMode.PBS_HIT:
-            stats.branches.pbs_hits += 1
-            if self.pbs_inserts_history:
-                self.predictor.insert_history(event.pc, event.taken)
-            return False
-
-        if event.pc in self.oracle_pcs:
-            # CFD branch-on-queue: the predicate is waiting at fetch.
-            stats.branches.regular_branches += 1
-            return False
-
-        is_prob = prob_mode == ProbMode.PREDICTED
-        if is_prob and self.filter_probabilistic:
-            stats.branches.prob_branches += 1
-            if event.taken:  # static not-taken for filtered branches
-                stats.branches.prob_mispredicts += 1
-                return True
-            return False
-
-        predictor = self.predictor
-        if predictor.perfect:
-            if is_prob:
-                stats.branches.prob_branches += 1
-            else:
-                stats.branches.regular_branches += 1
-            return False
-
-        prediction = predictor.predict(event.pc)
-        predictor.update(event.pc, event.taken)
-        mispredicted = prediction != event.taken
-        if is_prob:
-            stats.branches.prob_branches += 1
-            if mispredicted:
-                stats.branches.prob_mispredicts += 1
-        else:
-            stats.branches.regular_branches += 1
-            if mispredicted:
-                stats.branches.regular_mispredicts += 1
-        return mispredicted
+        stats.branch_stall_cycles += branch_stall_cycles
+        self._frontend_ready = frontend_ready
+        self._dispatch_cycle = dispatch_cycle
+        self._dispatch_slots = dispatch_slots
+        self._commit_cycle = commit_cycle
+        self._commit_slots = commit_slots
 
     # ------------------------------------------------------------------
     def finalize(self) -> CoreStats:
         """Close accounting and return the stats object."""
         stats = self.stats
-        stats.cycles = self._last_cycle if self._last_cycle else 1
-        stats.branches.instructions = stats.instructions
+        stats.cycles = self._commit_cycle if self._commit_cycle else 1
         return stats

@@ -293,7 +293,7 @@ class Session:
                 )
                 core = OoOCore(config, spec.make(), **spec.options)
                 self.cores[spec.label] = core
-                consumers.append(core.feed)
+                consumers.append(core)
         else:
             for spec in self._specs:
                 harness = PredictorHarness(spec.make(), **spec.options)

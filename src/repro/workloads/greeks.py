@@ -109,7 +109,9 @@ class GreeksWorkload(Workload):
         for _ in range(paths):
             u1 = rng.uniform()
             u2 = rng.uniform()
-            gauss = math.sqrt(-2.0 * math.log(u1)) * math.cos(TWO_PI * u2)
+            # ``** 0.5`` as the ISA's FSQRT computes it: math.sqrt can
+            # round the last bit differently.
+            gauss = (-2.0 * math.log(u1)) ** 0.5 * math.cos(TWO_PI * u2)
             growth = math.exp(VOL_SQRT_T * gauss)
             for index, adjust in enumerate(adjusts):
                 s_cur = growth * adjust

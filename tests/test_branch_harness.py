@@ -99,6 +99,10 @@ class TestFiltering:
         calls = []
 
         class Spy(AlwaysTaken):
+            # Its update is not a no-op, so it may not declare a
+            # static prediction: the branch step must call it.
+            static_prediction = None
+
             def update(self, pc, taken):
                 calls.append(pc)
 

@@ -142,6 +142,10 @@ class TestFiltering:
         trained = []
 
         class Spy(AlwaysTaken):
+            # Its update is not a no-op, so it may not declare a
+            # static prediction: the branch step must call it.
+            static_prediction = None
+
             def update(self, pc, taken):
                 trained.append(pc)
 

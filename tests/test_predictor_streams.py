@@ -23,7 +23,9 @@ addresses, through the 4- and 8-wide ``OoOCore`` under tournament,
 TAGE-SC-L and the perfect predictor, with ``filter_probabilistic``,
 ``pbs_inserts_history=False`` and a non-empty ``oracle_pcs``.  Each
 pins the prediction bits, ``cycles``, ``branch_stall_cycles`` and the
-final ``BranchStats``, reached through ``OoOCore.feed`` per event.  Any
+final ``BranchStats``; ``OoOCore.feed`` per event and
+``OoOCore.consume_batch`` over batches of random size must both reach
+them.  Any
 predictor change must keep every digest.  Regenerate only after an
 *intentional* change of predictor semantics, with::
 
@@ -178,7 +180,10 @@ def make_core_stream(seed):
     rows read random registers and write none.
     """
     rng = random.Random(seed + 1)
-    regs = lambda: tuple(rng.randrange(32) for _ in range(rng.randrange(3)))
+
+    def regs():
+        return tuple(rng.randrange(32) for _ in range(rng.randrange(3)))
+
     events = []
     for event in make_stream(seed):
         if event.is_cond_branch:
@@ -276,14 +281,26 @@ def drive_harness(predictor, events, seed, batched, filter_probabilistic):
     return bits, harness.stats
 
 
-def drive_core(predictor, events, path):
-    """Feed ``events`` to an ``OoOCore``; returns bits, stats, cycles."""
+def drive_core(predictor, events, path, seed, batched):
+    """Time ``events`` on an ``OoOCore``; returns bits, stats, cycles.
+
+    ``batched`` hands the core batches of random size instead of one
+    ``feed`` call per event.
+    """
     _, config, variant = path.split("-", 2)
     bits = bytearray()
     core = OoOCore(CORE_CONFIGS[config](), _Recorder(predictor, bits),
                    **CORE_VARIANTS[variant])
-    for event in events:
-        core.feed(event)
+    if batched:
+        rng = random.Random(seed)
+        start = 0
+        while start < len(events):
+            size = rng.randrange(1, 300)
+            core.consume_batch(EventBatch.from_events(events[start:start + size]))
+            start += size
+    else:
+        for event in events:
+            core.feed(event)
     stats = core.finalize()
     return bits, stats.branches, {
         "cycles": stats.cycles,
@@ -311,10 +328,11 @@ def run_case(name, path, seed, events=None):
             "stats": tally}
 
 
-def run_core_case(name, path, seed, events=None):
+def run_core_case(name, path, seed, events=None, batched=False):
     if events is None:
         events = make_core_stream(seed)
-    bits, stats, timing = drive_core(PREDICTORS[name](), events, path)
+    bits, stats, timing = drive_core(PREDICTORS[name](), events, path, seed,
+                                     batched)
     tally = {key: value for key, value in stats.as_dict().items()
              if key != "mpki"}
     digest = hashlib.sha256(bytes(bits))
@@ -377,9 +395,11 @@ def test_stream_matches_pin(name, path, pinned, streams):
 
 @pytest.mark.parametrize("name", CORE_PREDICTORS)
 @pytest.mark.parametrize("path", CORE_PATHS)
-def test_core_matches_pin(name, path, pinned, core_streams):
+@pytest.mark.parametrize("drive", ("feed", "batch"))
+def test_core_matches_pin(name, path, drive, pinned, core_streams):
     for seed in STREAM_SEEDS:
-        got = run_core_case(name, path, seed, core_streams[seed])
+        got = run_core_case(name, path, seed, core_streams[seed],
+                            batched=drive == "batch")
         assert got == pinned[case_id(name, path, seed)], case_id(name, path, seed)
 
 

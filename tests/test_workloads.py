@@ -98,6 +98,15 @@ class TestReferenceCrossValidation:
         for key, want in reference.items():
             assert run.outputs[key] == pytest.approx(want, abs=1e-9), key
 
+    def test_square_root_matches_isa_last_bit(self):
+        """The references take square roots as FSQRT does (``x ** 0.5``);
+        ``math.sqrt`` rounds one of this run's radii differently."""
+        workload = get_workload("greeks")
+        run = workload.run(scale=0.05, seed=267)
+        reference = workload.reference(scale=0.05, seed=267)
+        for key, want in reference.items():
+            assert run.outputs[key] == want, key
+
 
 class TestStatisticalSanity:
     def test_pi_estimate(self):
