@@ -266,7 +266,7 @@ def test_bench_full_stack_pi(benchmark):
 
     def run():
         core = OoOCore(four_wide(), TageSCL())
-        workload.run(scale=0.25, seed=1, pbs=PBSEngine(), sink=core.feed)
+        workload.run(scale=0.25, seed=1, pbs=PBSEngine(), sink=core)
         return core.finalize().ipc
 
     ipc = benchmark(run)

@@ -54,7 +54,7 @@ next:
 def measure(program, pbs=False, seed=13):
     core = OoOCore(four_wide(), TageSCL())
     executor = Executor(program, seed=seed, pbs=PBSEngine() if pbs else None)
-    state = executor.run(sink=core.feed)
+    state = executor.run(sink=core)
     return core.finalize(), state.output()[0]
 
 

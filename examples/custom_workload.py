@@ -53,7 +53,7 @@ def simulate(program, predictor, pbs=False, seed=11):
     core = OoOCore(four_wide(), predictor)
     engine = PBSEngine() if pbs else None
     executor = Executor(program, seed=seed, pbs=engine)
-    state = executor.run(sink=core.feed)
+    state = executor.run(sink=core)
     return core.finalize(), state.output()[0], engine
 
 

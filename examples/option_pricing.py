@@ -29,13 +29,13 @@ def evaluate(workload_name: str):
     workload = get_workload(workload_name)
 
     baseline_core = OoOCore(four_wide(), TageSCL())
-    baseline = workload.run(scale=SCALE, seed=SEED, sink=baseline_core.feed)
+    baseline = workload.run(scale=SCALE, seed=SEED, sink=baseline_core)
     baseline_stats = baseline_core.finalize()
 
     pbs_core = OoOCore(four_wide(), TageSCL())
     engine = PBSEngine()
     with_pbs = workload.run(
-        scale=SCALE, seed=SEED, pbs=engine, sink=pbs_core.feed
+        scale=SCALE, seed=SEED, pbs=engine, sink=pbs_core
     )
     pbs_stats = pbs_core.finalize()
 
@@ -71,10 +71,10 @@ def main():
     tournament_pbs_core = OoOCore(four_wide(), Tournament())
     workload.run(
         scale=SCALE, seed=SEED, pbs=PBSEngine(),
-        sink=tournament_pbs_core.feed,
+        sink=tournament_pbs_core,
     )
     tagescl_core = OoOCore(four_wide(), TageSCL())
-    workload.run(scale=SCALE, seed=SEED, sink=tagescl_core.feed)
+    workload.run(scale=SCALE, seed=SEED, sink=tagescl_core)
     print("return on investment (greeks):")
     print(f"  1 KB tournament + 193 B PBS : "
           f"IPC {tournament_pbs_core.finalize().ipc:.3f}")

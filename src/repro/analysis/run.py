@@ -23,9 +23,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..functional.trace import EventBatch
+from ..sim.session import FanOut
 from ..trace import TraceReader, TraceStore
-from ..trace.format import unpack_events_batch
 from .base import AnalysisPass, analysis_names, create_analysis
 
 #: Passes run when the caller names none: every registered zero-config
@@ -68,24 +67,10 @@ def analyze_trace(
     """
     reader = trace if isinstance(trace, TraceReader) else TraceReader(trace)
     sinks = resolve_passes(passes, **options)
-    events = 0
-    consumers = [getattr(sink, "consume_batch", None) for sink in sinks]
-    if sinks and all(consume is not None for consume in consumers):
-        # Every pass speaks the columnar protocol (e.g. ``mispredicts``
-        # alone): decode each stored frame straight into an EventBatch
-        # and fan the batch out — no TraceEvent construction.
-        batch = EventBatch()
-        for payload in reader._event_payloads():
-            unpack_events_batch(payload, batch)
-            for consume in consumers:
-                consume(batch)
-            events += len(batch.pcs)
-            batch.clear()
-    else:
-        for event in reader.events():
-            for sink in sinks:
-                sink(event)
-            events += 1
+    # The Session fan-out: columnar passes (``mispredicts``) receive each
+    # stored frame as one EventBatch, per-event passes its rows as
+    # TraceEvents, exploded once per frame and shared.
+    events = reader.replay(FanOut(sinks))
     meta = reader.meta
     return {
         "workload": meta.get("workload"),

@@ -110,11 +110,11 @@ def branch_step(
     indices of the mispredicted conditional-branch rows, in order.
 
     Only conditional-branch rows are visited (``compress`` over the
-    ``conds`` column is a C-level scan).  Each is handled by the first arm that applies:
-    PBS hit, branch-on-queue (``oracle_pcs``), filtered probabilistic
-    branch, perfect predictor, then predict and update.  A predictor
-    that declares a ``static_prediction`` has its table calls folded
-    away.
+    ``conds`` column is a C-level scan).  Each is handled by the first
+    arm that applies: PBS hit, branch-on-queue (``oracle_pcs``),
+    filtered probabilistic branch, perfect predictor, then predict and
+    update.  A predictor that declares a ``static_prediction`` has its
+    table calls folded away.
     """
     conds = batch.conds
     stats.instructions += len(conds)
@@ -139,6 +139,7 @@ def branch_step(
     pbs_hits = 0
 
     for i in compress(range(len(conds)), conds):
+        pc = pcs[i]
         prob_mode = prob_modes[i]
         taken = takens[i]
         if prob_mode == PBS_HIT:
@@ -146,8 +147,8 @@ def branch_step(
             # neither probed nor updated.
             pbs_hits += 1
             if pbs_inserts_history:
-                insert_history(pcs[i], taken)
-        elif pcs[i] in oracle_pcs:
+                insert_history(pc, taken)
+        elif pc in oracle_pcs:
             # CFD branch-on-queue: the predicate is waiting at fetch.
             regular_branches += 1
         elif prob_mode == PREDICTED and filter_probabilistic:
@@ -164,8 +165,8 @@ def branch_step(
                 regular_branches += 1
         else:
             if static_prediction is None:
-                prediction = predict(pcs[i])
-                update(pcs[i], taken)
+                prediction = predict(pc)
+                update(pc, taken)
             else:
                 # Vectorized-update kernel: the predictor declared a
                 # constant prediction and a no-op update, so the table

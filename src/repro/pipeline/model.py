@@ -136,13 +136,12 @@ class OoOCore:
             if dispatch > dispatch_cycle:
                 dispatch_cycle = dispatch
                 dispatch_slots = 1
+            elif dispatch_slots >= width:
+                dispatch_cycle += 1
+                dispatch_slots = 1
             else:
-                if dispatch_slots >= width:
-                    dispatch_cycle += 1
-                    dispatch_slots = 1
-                else:
-                    dispatch_slots += 1
-                dispatch = dispatch_cycle
+                dispatch_slots += 1
+            dispatch = dispatch_cycle
 
             # ----- issue & execute: dataflow --------------------------
             ready = dispatch + 1
