@@ -25,8 +25,9 @@ TAGE-SC-L and the perfect predictor, with ``filter_probabilistic``,
 pins the prediction bits, ``cycles``, ``branch_stall_cycles`` and the
 final ``BranchStats``; ``OoOCore.feed`` per event and
 ``OoOCore.consume_batch`` over batches of random size must both reach
-them.  Any
-predictor change must keep every digest.  Regenerate only after an
+them.
+
+Any predictor change must keep every digest.  Regenerate only after an
 *intentional* change of predictor semantics, with::
 
     PYTHONPATH=src python -m tests.test_predictor_streams
@@ -264,6 +265,16 @@ def drive_direct(predictor, events, seed):
     return bits, stats
 
 
+def random_batches(events, seed):
+    """``events`` as consecutive ``EventBatch``es of random size."""
+    rng = random.Random(seed)
+    start = 0
+    while start < len(events):
+        size = rng.randrange(1, 300)
+        yield EventBatch.from_events(events[start:start + size])
+        start += size
+
+
 def drive_harness(predictor, events, seed, batched, filter_probabilistic):
     bits = bytearray()
     harness = PredictorHarness(_Recorder(predictor, bits),
@@ -272,12 +283,8 @@ def drive_harness(predictor, events, seed, batched, filter_probabilistic):
         for event in events:
             harness(event)
         return bits, harness.stats
-    rng = random.Random(seed)
-    start = 0
-    while start < len(events):
-        size = rng.randrange(1, 300)
-        harness.consume_batch(EventBatch.from_events(events[start:start + size]))
-        start += size
+    for batch in random_batches(events, seed):
+        harness.consume_batch(batch)
     return bits, harness.stats
 
 
@@ -292,12 +299,8 @@ def drive_core(predictor, events, path, seed, batched):
     core = OoOCore(CORE_CONFIGS[config](), _Recorder(predictor, bits),
                    **CORE_VARIANTS[variant])
     if batched:
-        rng = random.Random(seed)
-        start = 0
-        while start < len(events):
-            size = rng.randrange(1, 300)
-            core.consume_batch(EventBatch.from_events(events[start:start + size]))
-            start += size
+        for batch in random_batches(events, seed):
+            core.consume_batch(batch)
     else:
         for event in events:
             core.feed(event)
