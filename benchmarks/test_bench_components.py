@@ -9,7 +9,7 @@ import random
 
 from repro.branch import TageSCL, Tournament
 from repro.core import PBSEngine
-from repro.functional import Executor
+from repro.functional import Executor, per_event
 from repro.functional.executor import ProbGroup
 from repro.isa import ProgramBuilder, R
 from repro.workloads import get_workload
@@ -29,17 +29,13 @@ def build_alu_loop(iterations=20_000):
 
 
 class CountingSink:
-    """Columnar event counter: the cheapest consumer that still takes
-    the batched pipeline (the with-sink benchmarks measure transport,
-    not consumer work)."""
+    """Event counter: the cheapest batch sink (the with-sink benchmarks
+    measure transport, not consumer work)."""
 
     __slots__ = ("count",)
 
     def __init__(self):
         self.count = 0
-
-    def __call__(self, event):
-        self.count += 1
 
     def consume_batch(self, batch):
         self.count += len(batch.pcs)
@@ -81,14 +77,14 @@ def test_bench_executor_with_sink(benchmark):
 
 
 def test_bench_executor_with_legacy_sink(benchmark):
-    """The compatibility path: a bare callable gets every event as a
-    TraceEvent, exactly as before the columnar pipeline."""
+    """The per-event adapter: ``per_event`` explodes every batch and
+    hands a callable one TraceEvent per retired instruction."""
     program = build_alu_loop(8_000)
 
     def run():
         executor = Executor(program, seed=1)
         count = [0]
-        executor.run(sink=lambda e: count.__setitem__(0, count[0] + 1))
+        executor.run(sink=per_event(lambda e: count.__setitem__(0, count[0] + 1)))
         return count[0]
 
     assert benchmark(run) > 40_000

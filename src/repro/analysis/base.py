@@ -1,10 +1,11 @@
 """The analysis-pass contract and registry.
 
-An :class:`AnalysisPass` is a plain trace sink — exactly the protocol
-predictors, timing cores and the PBS engine already speak: it is called
-once per committed-path :class:`~repro.functional.trace.TraceEvent` and,
-when the stream ends, :meth:`result` returns a JSON-serializable payload
-following the same structured-results conventions as
+An :class:`AnalysisPass` is a batch sink — exactly the protocol
+predictor harnesses, timing cores and the trace writer speak: its
+``consume_batch`` receives the committed-path stream as
+:class:`~repro.functional.trace.EventBatch` columns and, when the stream
+ends, :meth:`result` returns a JSON-serializable payload following the
+same structured-results conventions as
 :class:`~repro.sim.results.RunResult` (plain dicts of primitives, stable
 key order, derived quantities computed from the counters they summarize).
 
@@ -15,8 +16,12 @@ mirroring ``@register_workload`` / ``@register_predictor``::
 
     @register_analysis("my-study")
     class MyStudy(AnalysisPass):
-        def __call__(self, event): ...
+        def consume_batch(self, batch): ...
         def result(self): return {...}
+
+A pass may implement ``__call__(event)`` instead: the default
+``consume_batch`` explodes each batch into one
+:class:`~repro.functional.trace.TraceEvent` per row and calls it.
 
 ``repro analyze`` (the ``pbs-experiments analyze`` subcommand) and
 :func:`~repro.analysis.run.analyze_trace` resolve names through this
@@ -32,18 +37,24 @@ from ..sim.registry import Registry, validate_options
 
 
 class AnalysisPass:
-    """One streaming trace consumer: feed events, then read the result.
+    """One streaming trace consumer: feed batches, then read the result.
 
-    Subclasses implement ``__call__(event)`` (the hot path — one call per
-    retired instruction) and :meth:`result`.  A pass instance is single
-    use: it accumulates state across the whole stream and is rebuilt for
-    every analyzed trace.
+    Subclasses implement :meth:`consume_batch` (or ``__call__(event)``,
+    which the default ``consume_batch`` calls once per row) and
+    :meth:`result`.  A pass instance is single use: it accumulates state
+    across the whole stream and is rebuilt for every analyzed trace.
     """
 
     #: Registry name (set by :func:`register_analysis`).
     name: str = "?"
 
+    def consume_batch(self, batch) -> None:
+        """Consume one :class:`~repro.functional.trace.EventBatch`."""
+        for event in batch.events():
+            self(event)
+
     def __call__(self, event) -> None:
+        """Consume one :class:`~repro.functional.trace.TraceEvent`."""
         raise NotImplementedError
 
     def result(self) -> Dict:

@@ -1,7 +1,7 @@
 """The built-in analysis passes.
 
 Five studies ship with the package, all streaming (O(sites) memory, one
-look at each event) and all deterministic — per-branch tables are sorted
+look at each batch row) and all deterministic — per-branch tables are sorted
 by a stable key so ``repro analyze --json`` output is byte-reproducible
 for a given trace:
 
@@ -46,21 +46,35 @@ def direction_entropy(taken: int, executions: int) -> float:
     return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
 
 
+def _check_top(top: Optional[int]) -> None:
+    """A per-branch table bound is ``None`` (every site) or ``>= 0``."""
+    if top is not None and top < 0:
+        raise ValueError(f"top must be >= 0 or None, got {top}")
+
+
 class _BranchSites:
-    """Shared per-site accounting: pc -> (executions, taken, prob)."""
+    """Shared per-site accounting: pc -> (executions, taken, prob).
+
+    ``executions`` keeps sites in first-execution order.
+    """
 
     def __init__(self):
         self.executions: Counter = Counter()
         self.taken: Counter = Counter()
         self.prob: set = set()
 
-    def observe(self, event) -> None:
-        pc = event.pc
-        self.executions[pc] += 1
-        if event.taken:
-            self.taken[pc] += 1
-        if event.prob_mode != ProbMode.NOT_PROB:
-            self.prob.add(pc)
+    def consume_batch(self, batch: EventBatch) -> None:
+        conds = batch.conds
+        self.executions.update(compress(batch.pcs, conds))
+        taken = self.taken
+        prob = self.prob
+        not_prob = ProbMode.NOT_PROB
+        for pc, was_taken, prob_mode in compress(
+                zip(batch.pcs, batch.takens, batch.prob_modes), conds):
+            if was_taken:
+                taken[pc] += 1
+            if prob_mode != not_prob:
+                prob.add(pc)
 
 
 @register_analysis("instruction-mix")
@@ -77,19 +91,21 @@ class InstructionMix(AnalysisPass):
         self.loads = 0
         self.stores = 0
 
-    def __call__(self, event) -> None:
-        self.instructions += 1
-        self.by_class[event.op_class] += 1
-        if event.addr is not None:
-            if event.is_store:
-                self.stores += 1
-            else:
-                self.loads += 1
-        if event.is_cond_branch:
+    def consume_batch(self, batch: EventBatch) -> None:
+        self.instructions += len(batch)
+        self.by_class.update(batch.classes)
+        for addr, is_store in zip(batch.addrs, batch.stores):
+            if addr is not None:
+                if is_store:
+                    self.stores += 1
+                else:
+                    self.loads += 1
+        conds = batch.conds
+        for taken, prob_mode in compress(
+                zip(batch.takens, batch.prob_modes), conds):
             self.cond_branches += 1
-            if event.taken:
+            if taken:
                 self.taken += 1
-            prob_mode = event.prob_mode
             if prob_mode != ProbMode.NOT_PROB:
                 self.prob_branches += 1
                 if prob_mode == ProbMode.PBS_HIT:
@@ -142,14 +158,14 @@ class BranchEntropy(AnalysisPass):
     """
 
     def __init__(self, top: Optional[int] = 20):
+        _check_top(top)
         self.top = top
         self.sites = _BranchSites()
         self.instructions = 0
 
-    def __call__(self, event) -> None:
-        self.instructions += 1
-        if event.is_cond_branch:
-            self.sites.observe(event)
+    def consume_batch(self, batch: EventBatch) -> None:
+        self.instructions += len(batch)
+        self.sites.consume_batch(batch)
 
     def _aggregate(self, pcs) -> Dict:
         executions = sum(self.sites.executions[pc] for pc in pcs)
@@ -208,9 +224,8 @@ class TakenRateHistogram(AnalysisPass):
         self.bins = bins
         self.sites = _BranchSites()
 
-    def __call__(self, event) -> None:
-        if event.is_cond_branch:
-            self.sites.observe(event)
+    def consume_batch(self, batch: EventBatch) -> None:
+        self.sites.consume_batch(batch)
 
     def result(self) -> Dict:
         by_site = [0] * self.bins
@@ -253,6 +268,7 @@ class MispredictBreakdown(AnalysisPass):
         from ..branch import PredictorHarness
         from ..sim.registry import baseline_predictors, create_predictor
 
+        _check_top(top)
         names = tuple(predictors) if predictors else baseline_predictors()
         self.top = top
         self.harnesses = {
@@ -309,16 +325,16 @@ class WorkingSet(AnalysisPass):
         self.read: set = set()
         self.written: set = set()
 
-    def __call__(self, event) -> None:
-        addr = event.addr
-        if addr is None:
-            return
-        if event.is_store:
-            self.stores += 1
-            self.written.add(addr)
-        else:
-            self.loads += 1
-            self.read.add(addr)
+    def consume_batch(self, batch: EventBatch) -> None:
+        for addr, is_store in zip(batch.addrs, batch.stores):
+            if addr is None:
+                continue
+            if is_store:
+                self.stores += 1
+                self.written.add(addr)
+            else:
+                self.loads += 1
+                self.read.add(addr)
 
     def result(self) -> Dict:
         touched = self.read | self.written

@@ -67,9 +67,8 @@ def analyze_trace(
     """
     reader = trace if isinstance(trace, TraceReader) else TraceReader(trace)
     sinks = resolve_passes(passes, **options)
-    # The Session fan-out: columnar passes (``mispredicts``) receive each
-    # stored frame as one EventBatch, per-event passes its rows as
-    # TraceEvents, exploded once per frame and shared.
+    # The Session fan-out: every pass receives each stored frame as one
+    # EventBatch.
     events = reader.replay(FanOut(sinks))
     meta = reader.meta
     return {

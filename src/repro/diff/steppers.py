@@ -29,9 +29,9 @@ from typing import Dict, List, Type
 
 from ..engines.compiled import CompiledExecutor
 from ..engines.vector import LaneStepper
-from ..functional import Executor
+from ..functional import EventBatch, Executor
 from ..isa.opcodes import Op
-from ..trace.format import pack_event, unpack_events
+from ..trace.format import pack_batch, unpack_events_batch
 
 #: Default instruction budget for differential runs: generated programs
 #: retire a few thousand instructions, so anything that gets here is a
@@ -202,12 +202,14 @@ class VectorStepper(Stepper):
 class ReplayStepper(Stepper):
     """The trace tier: committed control flow through the wire format.
 
-    Runs the interpreter with a sink that packs every event with
-    :func:`repro.trace.format.pack_event` and immediately decodes it
-    back — so ``pc``/``retired``/``halted`` are read from the
-    *round-tripped* events, putting the trace encoding itself under the
-    lockstep contract.  Registers, memory and the RNG are not part of a
-    trace, so this tier only compares control flow and outputs.
+    Runs the interpreter with the stepper itself as the batch sink: it
+    packs every batch with :func:`repro.trace.format.pack_batch` and
+    decodes the records back with
+    :func:`~repro.trace.format.unpack_events_batch` — so
+    ``pc``/``retired``/``halted`` are read from the *round-tripped*
+    rows, putting the trace encoding itself under the lockstep
+    contract.  Registers, memory and the RNG are not part of a trace,
+    so this tier only compares control flow and outputs.
     """
 
     name = "replay"
@@ -221,23 +223,29 @@ class ReplayStepper(Stepper):
             program, seed=seed, max_instructions=max_instructions
         )
         self._count = 0
-        self._last = None
+        self._last_op = None
+        self._next_pc = 0
+        self._pack_cache = {}
+        self._decoded = EventBatch()
 
-        def sink(event):
-            decoded = next(iter(unpack_events(pack_event(event))))
-            self._count += 1
-            self._last = decoded
-
-        self._sink = sink
+    def consume_batch(self, batch: EventBatch) -> None:
+        decoded = self._decoded
+        unpack_events_batch(b"".join(pack_batch(batch, self._pack_cache)),
+                            decoded)
+        if decoded.pcs:
+            self._count += len(decoded)
+            self._last_op = decoded.ops[-1]
+            self._next_pc = decoded.next_pcs[-1]
+        decoded.clear()
 
     def step_to(self, target: int) -> None:
         budget = target - self._ex.retired
         if budget > 0 and not self._ex.halted:
-            self._ex.run(sink=self._sink, budget=budget)
+            self._ex.run(sink=self, budget=budget)
 
     @property
     def halted(self) -> bool:
-        return self._last is not None and self._last.op is Op.HALT
+        return self._last_op is Op.HALT
 
     @property
     def retired(self) -> int:
@@ -245,9 +253,7 @@ class ReplayStepper(Stepper):
 
     @property
     def pc(self) -> int:
-        if self._last is None:
-            return 0
-        return self._last.next_pc
+        return self._next_pc
 
     def regs(self) -> List:
         return []

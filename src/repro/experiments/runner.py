@@ -66,6 +66,13 @@ def _csv(text):
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
+def _non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pbs-experiments",
@@ -362,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: paper baselines)",
     )
     analyze_parser.add_argument(
-        "--top", type=int, default=20, metavar="N",
+        "--top", type=_non_negative_int, default=20, metavar="N",
         help="rows per per-branch table (0 = unlimited; default 20)",
     )
     analyze_parser.add_argument(

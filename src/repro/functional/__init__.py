@@ -11,7 +11,7 @@ from .executor import (
 )
 from .rng import Drand48, RecordingRng
 from .state import MachineState, MemoryFault
-from .trace import EventBatch, ProbMode, TraceEvent
+from .trace import EventBatch, ProbMode, TraceEvent, batch_consumer, per_event
 
 __all__ = [
     "ExecutionError",
@@ -28,4 +28,6 @@ __all__ = [
     "EventBatch",
     "ProbMode",
     "TraceEvent",
+    "batch_consumer",
+    "per_event",
 ]

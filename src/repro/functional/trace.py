@@ -1,8 +1,12 @@
-"""Dynamic trace events emitted by the functional simulator.
+"""The committed-path event stream and its one delivery protocol.
 
-The functional simulator executes the committed path and emits one
-:class:`TraceEvent` per retired instruction.  Timing models, MPKI counters
-and other consumers observe this stream; they never re-execute semantics.
+Every producer (the interpreter, the compiled tier, trace replay) hands
+retired instructions to a *sink* as :class:`EventBatch` columns through
+the sink's ``consume_batch`` method.  Timing models, MPKI counters,
+trace writers and analysis passes are such sinks; they observe the
+stream and never re-execute semantics.  A :class:`TraceEvent` is one row
+of a batch; :func:`per_event` adapts a callable that wants rows one at
+a time.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ class ProbMode:
 
 
 class TraceEvent:
-    """One retired instruction on the committed path."""
+    """One retired instruction on the committed path (one batch row)."""
 
     __slots__ = (
         "pc",
@@ -88,11 +92,10 @@ class EventBatch:
     """A columnar run of retired instructions (structure of arrays).
 
     Producers (the pre-decoded interpreter, the compiled tier, trace
-    replay) fill the parallel column lists and hand the batch to a sink
-    that declares a ``consume_batch`` method.  Column ``i`` across all
-    twelve lists describes the same retired instruction that a
-    :class:`TraceEvent` would, field for field — batching changes how
-    events travel, never what they say.
+    replay) fill the parallel column lists and hand the batch to the
+    sink's ``consume_batch`` method.  Row ``i`` across all twelve lists
+    describes one retired instruction, field for field what
+    :meth:`events` builds as a :class:`TraceEvent`.
 
     Ownership contract: the producer may reuse the batch object (via
     :meth:`clear`) as soon as ``consume_batch`` returns, so consumers
@@ -146,7 +149,7 @@ class EventBatch:
         self.prob_modes.clear()
 
     def append_event(self, event: "TraceEvent") -> None:
-        """Append one per-event record (used by adapters and tests)."""
+        """Append one :class:`TraceEvent` as a row."""
         self.pcs.append(event.pc)
         self.ops.append(event.op)
         self.classes.append(event.op_class)
@@ -161,12 +164,7 @@ class EventBatch:
         self.prob_modes.append(event.prob_mode)
 
     def events(self):
-        """Explode the batch into :class:`TraceEvent` objects.
-
-        This is the compatibility adapter for legacy per-event sinks: a
-        batch-producing tier can keep any plain callable working by
-        iterating this generator and calling ``sink(event)``.
-        """
+        """Explode the batch into one :class:`TraceEvent` per row."""
         make = TraceEvent
         for i in range(len(self.pcs)):
             yield make(
@@ -191,20 +189,45 @@ class EventBatch:
             batch.append_event(event)
         return batch
 
-    def deliver(self, sink) -> bool:
-        """Hand the batch to ``sink``, batched if it opts in.
-
-        Returns ``True`` when the sink consumed the batch columnar-ly
-        (it declared ``consume_batch``), ``False`` when the batch was
-        exploded into per-event calls for a legacy callable.
-        """
-        consume = getattr(sink, "consume_batch", None)
-        if consume is not None:
-            consume(self)
-            return True
-        for event in self.events():
-            sink(event)
-        return False
-
     def __repr__(self) -> str:
         return f"<EventBatch n={len(self.pcs)}>"
+
+
+class per_event:
+    """Adapt a callable taking one :class:`TraceEvent` into a batch sink.
+
+    Each batch is exploded with :meth:`EventBatch.events` and the rows
+    are handed to ``callback`` in stream order::
+
+        events = []
+        executor.run(sink=per_event(events.append))
+
+    Rows arrive when a batch is delivered, not as each instruction
+    retires; to observe live executor state at every instruction, drive
+    ``executor.step(1, sink=per_event(...))``.
+    """
+
+    __slots__ = ("callback",)
+
+    def __init__(self, callback):
+        self.callback = callback
+
+    def consume_batch(self, batch: EventBatch) -> None:
+        callback = self.callback
+        for event in batch.events():
+            callback(event)
+
+    def __repr__(self) -> str:
+        return f"per_event({self.callback!r})"
+
+
+def batch_consumer(sink):
+    """``sink.consume_batch``; a ``TypeError`` naming :func:`per_event`
+    when ``sink`` is a plain callable."""
+    consume = getattr(sink, "consume_batch", None)
+    if consume is None:
+        raise TypeError(
+            f"{sink!r} is not a batch sink (it has no consume_batch); "
+            "wrap a per-event callable in per_event(...)"
+        )
+    return consume

@@ -12,7 +12,10 @@ One import gives everything a scenario needs:
   deterministic per-run seeding and an on-disk sharded
   :class:`ResultCache`;
 * :func:`register_workload` / :func:`register_predictor` — decorator
-  registries through which benchmarks and predictors plug themselves in.
+  registries through which benchmarks and predictors plug themselves in;
+* :func:`per_event` — wraps a callable taking one
+  :class:`~repro.functional.TraceEvent` as a batch sink for
+  :meth:`Session.sink`.
 
 Quickstart::
 
@@ -24,6 +27,7 @@ Quickstart::
 See ``docs/api.md`` for the full tour.
 """
 
+from ..functional.trace import per_event
 from .cache import CACHE_VERSION, ResultCache, spec_digest
 from .executors import (
     EXECUTORS,
@@ -153,6 +157,7 @@ __all__ = [
     "DEFAULT_SEED",
     "FanOut",
     "Session",
+    "per_event",
     "MODES",
     "RunSpec",
     "Sweep",

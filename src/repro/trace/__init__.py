@@ -3,7 +3,7 @@ everywhere.
 
 The paper's methodology is trace-driven: timing models, MPKI harnesses
 and the PBS engine all consume the committed-path
-:class:`~repro.functional.trace.TraceEvent` stream and never re-execute
+:class:`~repro.functional.trace.EventBatch` stream and never re-execute
 semantics.  This package makes that stream a first-class artifact:
 
 * :class:`TraceWriter` / :class:`TraceReader` — a compact struct-packed
@@ -25,9 +25,8 @@ from .format import (
     TraceFormatError,
     TraceReader,
     TraceWriter,
-    pack_event,
+    pack_batch,
     read_meta,
-    unpack_events,
     unpack_events_batch,
 )
 from .store import (
@@ -43,9 +42,8 @@ __all__ = [
     "TraceFormatError",
     "TraceReader",
     "TraceWriter",
-    "pack_event",
+    "pack_batch",
     "read_meta",
-    "unpack_events",
     "unpack_events_batch",
     "TraceCapture",
     "TraceStore",

@@ -30,9 +30,9 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Iterator, List, Optional, Union
 
-from ..functional.trace import EventBatch, TraceEvent
+from ..functional.trace import EventBatch, batch_consumer
 from ..isa.opcodes import OP_CLASS, Op
 
 #: Bump on any incompatible change to the framing or event packing.
@@ -70,92 +70,75 @@ class TraceFormatError(Exception):
     """A trace file is truncated, corrupt, or from another version."""
 
 
-def pack_event(event: TraceEvent) -> bytes:
-    """One event -> its packed record."""
-    flags = event.prob_mode << PROB_SHIFT
-    if event.is_cond_branch:
-        flags |= F_COND
-    if event.taken:
-        flags |= F_TAKEN
-    if event.is_store:
-        flags |= F_STORE
-    target = event.target
-    tail = b""
-    if target is not None:
-        flags |= F_TARGET
-        if event.next_pc == target:
-            flags |= F_NEXT_IS_TARGET
-        elif event.next_pc != event.pc + 1:
+def pack_batch(batch: EventBatch, cache: Dict[tuple, bytes]) -> List[bytes]:
+    """Pack every row of ``batch``; returns one record per row.
+
+    ``cache`` maps ``(pc, flags, target)`` to the packed record sans
+    the ``addr`` tail.  It is valid for one program (op, dest and srcs
+    are static per pc), so steady-state packing re-packs nothing.
+    """
+    pcs = batch.pcs
+    ops = batch.ops
+    dests = batch.dests
+    srcs_col = batch.srcs
+    conds = batch.conds
+    takens = batch.takens
+    targets = batch.targets
+    next_pcs = batch.next_pcs
+    addrs = batch.addrs
+    stores = batch.stores
+    probs = batch.prob_modes
+    records = []
+    append = records.append
+    cache_get = cache.get
+    pack_head = _EVENT.pack
+    pack_u32 = _U32.pack
+    for i in range(len(pcs)):
+        pc = pcs[i]
+        target = targets[i]
+        addr = addrs[i]
+        flags = probs[i] << PROB_SHIFT
+        if conds[i]:
+            flags |= F_COND
+        if takens[i]:
+            flags |= F_TAKEN
+        if stores[i]:
+            flags |= F_STORE
+        next_pc = next_pcs[i]
+        if target is not None:
+            flags |= F_TARGET
+            if next_pc == target:
+                flags |= F_NEXT_IS_TARGET
+            elif next_pc != pc + 1:
+                raise TraceFormatError(
+                    f"unencodable next_pc {next_pc} at pc {pc}"
+                )
+        elif next_pc != pc + 1:
             raise TraceFormatError(
-                f"unencodable next_pc {event.next_pc} at pc {event.pc}"
+                f"unencodable next_pc {next_pc} at pc {pc}"
             )
-        tail = _U32.pack(target)
-    elif event.next_pc != event.pc + 1:
-        raise TraceFormatError(
-            f"unencodable next_pc {event.next_pc} at pc {event.pc}"
-        )
-    if event.addr is not None:
-        flags |= F_ADDR
-        tail += _U32.pack(event.addr)
-    srcs = event.srcs
-    return (
-        _EVENT.pack(event.pc, event.op, flags, event.dest, len(srcs))
-        + bytes(srcs)
-        + tail
-    )
-
-
-def unpack_events(buffer: bytes) -> Iterator[TraceEvent]:
-    """Decode one event frame's payload back into live events."""
-    unpack_event = _EVENT.unpack_from
-    unpack_u32 = _U32.unpack_from
-    ops = _OP_BY_VALUE
-    classes = _CLASS_BY_VALUE
-    make = TraceEvent
-    offset = 0
-    end = len(buffer)
-    try:
-        while offset < end:
-            pc, op_value, flags, dest, nsrcs = unpack_event(buffer, offset)
-            offset += 8
-            srcs = tuple(buffer[offset:offset + nsrcs])
-            if len(srcs) != nsrcs:
-                raise TraceFormatError("corrupt event frame: truncated sources")
-            offset += nsrcs
-            if flags & F_TARGET:
-                target = unpack_u32(buffer, offset)[0]
-                offset += 4
-            else:
-                target = None
-            if flags & F_ADDR:
-                addr = unpack_u32(buffer, offset)[0]
-                offset += 4
-            else:
-                addr = None
-            yield make(
-                pc,
-                ops[op_value],
-                classes[op_value],
-                dest,
-                srcs,
-                is_cond_branch=bool(flags & F_COND),
-                taken=bool(flags & F_TAKEN),
-                target=target,
-                next_pc=target if flags & F_NEXT_IS_TARGET else pc + 1,
-                addr=addr,
-                is_store=bool(flags & F_STORE),
-                prob_mode=flags >> PROB_SHIFT,
+        if addr is not None:
+            flags |= F_ADDR
+        key = (pc, flags, target)
+        record = cache_get(key)
+        if record is None:
+            srcs = srcs_col[i]
+            record = (
+                pack_head(pc, ops[i], flags, dests[i], len(srcs))
+                + bytes(srcs)
             )
-    except (struct.error, KeyError) as exc:
-        raise TraceFormatError(f"corrupt event frame: {exc!r}") from None
+            if target is not None:
+                record += pack_u32(target)
+            cache[key] = record
+        if addr is not None:
+            record += pack_u32(addr)
+        append(record)
+    return records
 
 
 def unpack_events_batch(buffer: bytes, batch: EventBatch) -> None:
-    """Decode one event frame's payload into batch columns.
-
-    Field-identical to :func:`unpack_events`, minus the per-event
-    TraceEvent construction — replay's columnar fast path.
-    """
+    """Decode one event frame's payload, appending its rows to
+    ``batch`` — the inverse of :func:`pack_batch`."""
     unpack_event = _EVENT.unpack_from
     unpack_u32 = _U32.unpack_from
     ops = _OP_BY_VALUE
@@ -216,10 +199,9 @@ class TraceWriter:
     the run metadata to write the metadata frame and trailer; an
     unfinalized file is unreadable by design (no trailer magic).
 
-    The writer speaks both sink protocols: per-event (it is callable)
-    and columnar (:meth:`consume_batch` packs records straight from
-    :class:`EventBatch` columns, caching the packed bytes per
-    ``(pc, flags, target)`` so steady-state capture re-packs nothing).
+    :meth:`consume_batch` packs records straight from
+    :class:`EventBatch` columns with :func:`pack_batch`, caching the
+    packed bytes per ``(pc, flags, target)`` across the whole capture.
     """
 
     def __init__(
@@ -235,94 +217,24 @@ class TraceWriter:
         self._buffer: list = []
         self._buffered = 0
         #: (pc, flags, target) -> packed record bytes (sans addr tail).
-        #: Valid because op/dest/srcs are static per pc within one run.
         self._pack_cache: Dict[tuple, bytes] = {}
         self._handle = open(self.path, "wb")
         flags = HEADER_FLAG_ZLIB if compress else 0
         self._handle.write(_HEADER.pack(MAGIC, FORMAT_VERSION, flags))
         self._finalized = False
 
-    # The hot capture path: one call per retired instruction.
-    def __call__(self, event: TraceEvent) -> None:
-        self._buffer.append(pack_event(event))
-        self.events += 1
-        self._buffered += 1
-        if self._buffered >= self.events_per_frame:
-            self._flush_frame()
-
     def consume_batch(self, batch: EventBatch) -> None:
-        """Columnar capture: pack a batch without building TraceEvents.
-
-        Byte-identical to calling the writer per event — same records,
-        same frame boundaries (frames flush on the same event counts).
-        """
-        pcs = batch.pcs
-        ops = batch.ops
-        dests = batch.dests
-        srcs_col = batch.srcs
-        conds = batch.conds
-        takens = batch.takens
-        targets = batch.targets
-        next_pcs = batch.next_pcs
-        addrs = batch.addrs
-        stores = batch.stores
-        probs = batch.prob_modes
-        buffer = self._buffer
-        append = buffer.append
-        cache = self._pack_cache
-        cache_get = cache.get
-        pack_head = _EVENT.pack
-        pack_u32 = _U32.pack
-        per_frame = self.events_per_frame
-        buffered = self._buffered
-        for i in range(len(pcs)):
-            pc = pcs[i]
-            target = targets[i]
-            addr = addrs[i]
-            flags = probs[i] << PROB_SHIFT
-            if conds[i]:
-                flags |= F_COND
-            if takens[i]:
-                flags |= F_TAKEN
-            if stores[i]:
-                flags |= F_STORE
-            next_pc = next_pcs[i]
-            if target is not None:
-                flags |= F_TARGET
-                if next_pc == target:
-                    flags |= F_NEXT_IS_TARGET
-                elif next_pc != pc + 1:
-                    raise TraceFormatError(
-                        f"unencodable next_pc {next_pc} at pc {pc}"
-                    )
-            elif next_pc != pc + 1:
-                raise TraceFormatError(
-                    f"unencodable next_pc {next_pc} at pc {pc}"
-                )
-            if addr is not None:
-                flags |= F_ADDR
-            key = (pc, flags, target)
-            record = cache_get(key)
-            if record is None:
-                srcs = srcs_col[i]
-                record = (
-                    pack_head(pc, ops[i], flags, dests[i], len(srcs))
-                    + bytes(srcs)
-                )
-                if target is not None:
-                    record += pack_u32(target)
-                cache[key] = record
-            if addr is not None:
-                record += pack_u32(addr)
-            append(record)
-            buffered += 1
-            if buffered >= per_frame:
-                self.events += buffered - self._buffered
-                self._buffered = buffered
+        """Pack a batch; a frame flushes every ``events_per_frame``
+        events, wherever the batch boundaries fall."""
+        records = pack_batch(batch, self._pack_cache)
+        self.events += len(records)
+        while records:
+            room = max(1, self.events_per_frame - self._buffered)
+            head, records = records[:room], records[room:]
+            self._buffer.extend(head)
+            self._buffered += len(head)
+            if self._buffered >= self.events_per_frame:
                 self._flush_frame()
-                buffered = 0
-        self.events += buffered - self._buffered
-        self._buffered = buffered
 
     def _flush_frame(self) -> None:
         if not self._buffered:
@@ -437,25 +349,15 @@ class TraceReader:
                     )
                 yield payload
 
-    def events(self) -> Iterator[TraceEvent]:
-        """Stream the recorded events, one frame in memory at a time."""
-        for payload in self._event_payloads():
-            yield from unpack_events(payload)
-
     def replay(self, sink) -> int:
         """Feed every event to ``sink``; returns the event count.
 
-        A batch-capable sink (one declaring ``consume_batch``) receives
-        one :class:`EventBatch` per stored frame, decoded straight into
-        columns — no per-event TraceEvent construction.
+        ``sink`` receives one :class:`EventBatch` per stored frame,
+        decoded straight into columns; a plain callable raises
+        ``TypeError`` (wrap it in
+        :func:`~repro.functional.trace.per_event`).
         """
-        consume = getattr(sink, "consume_batch", None)
-        if consume is None:
-            count = 0
-            for event in self.events():
-                sink(event)
-                count += 1
-            return count
+        consume = batch_consumer(sink)
         count = 0
         batch = EventBatch()
         for payload in self._event_payloads():

@@ -21,7 +21,7 @@ from repro.analysis import (
     select_digests,
 )
 from repro.analysis.base import ANALYSES
-from repro.functional.trace import ProbMode, TraceEvent
+from repro.functional.trace import EventBatch, ProbMode, TraceEvent
 from repro.isa.opcodes import OP_CLASS, Op
 from repro.sim import RunResult, Session
 from repro.trace import TraceStore
@@ -101,9 +101,10 @@ class TestDirectionEntropy:
 
 class TestPassesOnSyntheticStreams:
     def _run(self, name, events, **options):
+        """The pass's result, fed in batches of 3 rows."""
         sink = create_analysis(name, **options)
-        for event in events:
-            sink(event)
+        for start in range(0, len(events), 3):
+            sink.consume_batch(EventBatch.from_events(events[start:start + 3]))
         return sink.result()
 
     def test_instruction_mix(self):
@@ -144,6 +145,16 @@ class TestPassesOnSyntheticStreams:
         events = [_branch(pc, pc % 2 == 0) for pc in range(30) for _ in (0, 1)]
         result = self._run("branch-entropy", events, top=5)
         assert len(result["per_branch"]) == 5
+
+    @pytest.mark.parametrize("name,options", [
+        ("branch-entropy", {}),
+        ("mispredicts", {"predictors": ("tournament",)}),
+    ])
+    def test_negative_top_is_rejected(self, name, options):
+        with pytest.raises(ValueError, match="top"):
+            create_analysis(name, top=-2, **options)
+        events = [_branch(pc, pc % 2 == 0) for pc in range(3) for _ in (0, 1)]
+        assert self._run(name, events, top=0, **options) is not None
 
     def test_taken_rate_histogram(self):
         events = (
@@ -333,6 +344,12 @@ class TestAnalyzeCLI:
         for fragment in ("instruction-mix", "branch-entropy", "taken-rate",
                          "mispredicts", "trace "):
             assert fragment in out
+
+    def test_negative_top_is_an_argparse_error(self, store_dir, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            self._main(["analyze", "--trace-store", store_dir, "--top", "-2"])
+        assert exit_info.value.code == 2
+        assert "--top" in capsys.readouterr().err
 
     def test_unknown_pass_fails_cleanly(self, store_dir):
         with pytest.raises(SystemExit, match="unknown analysis"):

@@ -1,43 +1,63 @@
-"""The columnar sink contract: batched delivery is bit-identical.
+"""The batch sink contract: every producer and consumer speaks
+``consume_batch(EventBatch)``, and chunking never changes results.
 
-The batch pipeline (``EventBatch`` from the engines, ``consume_batch``
-on the consumers) is a pure speed play — every test here pins the
-"never changes results" half of that bargain:
+The stream itself is pinned in ``tests/golden/event-streams.json`` (see
+``tests/test_event_streams.py``); the tests here hold the delivery
+details to it:
 
 * ``EventBatch`` explodes back to the exact ``TraceEvent`` stream it
-  was packed from;
+  was packed from, and ``per_event`` hands those rows to a callable;
+* a run stepped one instruction at a time (one-row batches) delivers
+  the same stream as a straight run, on the interpreter and the
+  compiled tier alike;
 * ``PredictorHarness.consume_batch`` produces the same final stats as
-  the per-event ``__call__`` walk, for **every registered predictor**;
-* ``MispredictBreakdown.consume_batch`` matches the per-event pass
+  the one-row ``__call__`` walk, for **every registered predictor**;
+* ``MispredictBreakdown.consume_batch`` matches the one-row pass
   down to the per-PC mispredict attribution;
-* the sim-layer ``FanOut`` feeds columnar and legacy members the same
-  stream, and its ``sink_batches``/``sink_fallbacks`` counters surface
-  through sweep stats;
+* the sim-layer ``FanOut`` feeds every member the same batches, and
+  its ``sink_batches`` counter surfaces through sweep stats;
+* every sink entry point rejects a plain callable with a ``TypeError``
+  naming ``per_event``;
 * the sink-attached diff mode holds interp and compiled to the same
   batch-fed tally at every barrier.
 
-Hypothesis drives generated programs through the interp-vs-batch
+Hypothesis drives generated programs through the stepped-vs-straight
 comparison where it is installed; the exhaustive per-predictor sweeps
 run regardless.
 """
 
+import json
+
 import pytest
 
 from repro.branch import PredictorHarness
-from repro.functional import EventBatch, Executor
+from repro.functional import EventBatch, Executor, per_event
 from repro.functional.trace import ProbMode, TraceEvent
 from repro.sim import FanOut, Session, Sweep, get_workload, predictor_names
 from repro.sim.registry import create_predictor
 
-# One mid-size branchy workload keeps every per-predictor case fast.
+from .test_event_streams import FIXTURE, StreamDigest
+
+# One mid-size branchy workload keeps every per-predictor case fast; its
+# stream at this scale and seed is pinned as ``bandit/base``.
 WORKLOAD = "bandit"
 SCALE = 0.05
-SEED = 3
+SEED = 1
 
 
 def capture_events(workload=WORKLOAD, scale=SCALE, seed=SEED):
     events = []
-    get_workload(workload).run(scale=scale, seed=seed, sink=events.append)
+    get_workload(workload).run(scale=scale, seed=seed,
+                               sink=per_event(events.append))
+    return events
+
+
+def stepped_events(executor):
+    """Run ``executor`` one instruction per call; one-row batches."""
+    events = []
+    sink = per_event(events.append)
+    while executor.step(1, sink=sink):
+        pass
     return events
 
 
@@ -64,31 +84,15 @@ class TestEventBatch:
         for column in EventBatch.__slots__:
             assert getattr(batch, column) == []
 
-    def test_deliver_prefers_consume_batch(self):
-        class Columnar:
-            def __init__(self):
-                self.batches = []
-
-            def __call__(self, event):  # pragma: no cover — must not run
-                raise AssertionError("batched consumer fed per-event")
-
-            def consume_batch(self, batch):
-                self.batches.append(len(batch))
-
-        batch = EventBatch.from_events(capture_events(scale=0.01))
-        consumer = Columnar()
-        assert batch.deliver(consumer) is True
-        assert consumer.batches == [len(batch)]
-
-    def test_deliver_falls_back_to_per_event(self):
-        events = []
-        batch = EventBatch.from_events(capture_events(scale=0.01))
-        assert batch.deliver(events.append) is False
-        assert len(events) == len(batch)
+    def test_per_event_adapter_explodes_rows(self, event_stream):
+        rows = []
+        per_event(rows.append).consume_batch(
+            EventBatch.from_events(event_stream[:50]))
+        assert_streams_equal(event_stream[:50], rows)
 
 
 # ----------------------------------------------------------------------
-# The interpreter's batched emission: same stream, either protocol.
+# Batch boundaries never change the stream.
 # ----------------------------------------------------------------------
 class _Collector:
     """Columnar sink that explodes every batch back to events."""
@@ -102,39 +106,56 @@ class _Collector:
         self.events.extend(batch.events())
 
 
-def assert_streams_equal(per_event, exploded):
-    assert len(per_event) == len(exploded)
-    for a, b in zip(per_event, exploded):
+def assert_streams_equal(expected, exploded):
+    assert len(expected) == len(exploded)
+    for a, b in zip(expected, exploded):
         for slot in TraceEvent.__slots__:
             assert getattr(a, slot) == getattr(b, slot), slot
 
 
+def _pinned(name="bandit/base"):
+    return json.loads(FIXTURE.read_text())[name]
+
+
 def test_interp_batch_stream_matches_per_event(event_stream):
+    """The straight run's 1024-row batches and a run stepped one
+    instruction at a time deliver the same (pinned) stream."""
     collector = _Collector()
-    get_workload(WORKLOAD).run(scale=SCALE, seed=SEED, sink=collector)
-    assert collector.batches >= 1
+    digest = StreamDigest()
+    Executor(get_workload(WORKLOAD).build(SCALE), seed=SEED).run(
+        sink=FanOut([collector, digest]))
+    assert collector.batches > 1
+    assert digest.pin() == _pinned()
+    stepped = stepped_events(
+        Executor(get_workload(WORKLOAD).build(SCALE), seed=SEED))
+    assert_streams_equal(stepped, collector.events)
     assert_streams_equal(event_stream, collector.events)
 
 
 def test_compiled_batch_stream_matches_per_event(event_stream):
+    """The compiled tier's block variant and its step variant (one
+    instruction per call) both deliver the pinned stream."""
     from repro.engines import create_engine
 
+    engine = create_engine("compiled")
+    program = get_workload(WORKLOAD).build(SCALE)
     collector = _Collector()
-    get_workload(WORKLOAD).run(
-        scale=SCALE, seed=SEED, sink=collector,
-        engine=create_engine("compiled"),
-    )
-    assert collector.batches >= 1
+    digest = StreamDigest()
+    engine.executor(program, seed=SEED).run(sink=FanOut([collector, digest]))
+    assert collector.batches > 1
+    assert digest.pin() == _pinned()
     assert_streams_equal(event_stream, collector.events)
+    stepped = stepped_events(engine.executor(program, seed=SEED))
+    assert_streams_equal(event_stream, stepped)
 
 
 def test_budget_pause_flushes_batch():
-    """A budget-paused run() must already have delivered every event a
-    per-event sink would have seen — the diff steppers rely on it."""
+    """A budget-paused run() must already have delivered every retired
+    instruction — the diff steppers rely on it."""
     program = get_workload("pi").build(0.05)
     reference = []
     ex = Executor(program, seed=1)
-    ex.run(sink=reference.append)
+    ex.run(sink=per_event(reference.append))
 
     collector = _Collector()
     paused = Executor(program, seed=1)
@@ -149,9 +170,9 @@ def test_budget_pause_flushes_batch():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", predictor_names())
 def test_harness_batch_matches_per_event(name, event_stream):
-    per_event = PredictorHarness(create_predictor(name))
+    one_row = PredictorHarness(create_predictor(name))
     for event in event_stream:
-        per_event(event)
+        one_row(event)
 
     batched = PredictorHarness(create_predictor(name))
     # Uneven chunk sizes cover batch-boundary handling.
@@ -159,7 +180,7 @@ def test_harness_batch_matches_per_event(name, event_stream):
         batched.consume_batch(
             EventBatch.from_events(event_stream[start:start + 777])
         )
-    assert batched.stats.as_dict() == per_event.stats.as_dict()
+    assert batched.stats.as_dict() == one_row.stats.as_dict()
 
 
 @pytest.mark.parametrize("name", predictor_names())
@@ -170,17 +191,17 @@ def test_harness_batch_matches_per_event_pbs(name):
 
     events = []
     get_workload(WORKLOAD).run(
-        scale=SCALE, seed=SEED, pbs=PBSEngine(), sink=events.append
+        scale=SCALE, seed=SEED, pbs=PBSEngine(), sink=per_event(events.append)
     )
     assert any(e.prob_mode != ProbMode.NOT_PROB for e in events)
 
     for options in ({}, {"pbs_inserts_history": True}):
-        per_event = PredictorHarness(create_predictor(name), **options)
+        one_row = PredictorHarness(create_predictor(name), **options)
         for event in events:
-            per_event(event)
+            one_row(event)
         batched = PredictorHarness(create_predictor(name), **options)
         batched.consume_batch(EventBatch.from_events(events))
-        assert batched.stats.as_dict() == per_event.stats.as_dict()
+        assert batched.stats.as_dict() == one_row.stats.as_dict()
 
 
 def test_session_single_and_multi_predictor_results_unchanged():
@@ -192,7 +213,6 @@ def test_session_single_and_multi_predictor_results_unchanged():
         .run()
     )
     assert result.sink_batches > 0
-    assert result.sink_fallbacks == 0
     events = capture_events()
     for name in ("tournament", "gshare", "tage-sc-l"):
         harness = PredictorHarness(create_predictor(name))
@@ -211,37 +231,29 @@ def test_mispredict_breakdown_batch_matches_per_event(event_stream):
     from repro.analysis import create_analysis
 
     names = ("tournament", "tage-sc-l", "bimodal")
-    per_event = create_analysis("mispredicts", predictors=names, top=None)
+    one_row = create_analysis("mispredicts", predictors=names, top=None)
     for event in event_stream:
-        per_event(event)
+        one_row(event)
 
     batched = create_analysis("mispredicts", predictors=names, top=None)
     for start in range(0, len(event_stream), 513):
         batched.consume_batch(
             EventBatch.from_events(event_stream[start:start + 513])
         )
-    assert batched.result() == per_event.result()
+    assert batched.result() == one_row.result()
 
 
 # ----------------------------------------------------------------------
-# FanOut batching semantics and counters.
+# FanOut and the sink entry points.
 # ----------------------------------------------------------------------
 class TestFanOut:
-    def test_all_legacy_fanout_stays_per_event(self):
-        sinks = [[], []]
-        fan = FanOut([sinks[0].append, sinks[1].append])
-        assert getattr(fan, "consume_batch", None) is None
-
-    def test_mixed_fanout_explodes_once_for_legacy(self, event_stream):
+    def test_mixed_fanout_feeds_per_event_member(self, event_stream):
         harness = PredictorHarness(create_predictor("tournament"))
-        legacy = []
-        fan = FanOut([harness, legacy.append])
-        batch = EventBatch.from_events(event_stream)
-        fan.consume_batch(batch)
+        rows = []
+        fan = FanOut([harness, per_event(rows.append)])
+        fan.consume_batch(EventBatch.from_events(event_stream))
         assert fan.batches == 1
-        assert fan.fallbacks == 1
-        assert fan.legacy_names() == ["list.append"]
-        assert len(legacy) == len(event_stream)
+        assert_streams_equal(event_stream, rows)
         assert harness.stats.instructions == len(event_stream)
 
     def test_sweep_stats_surface_sink_counters(self):
@@ -252,19 +264,60 @@ class TestFanOut:
             .to_stats()
         )
         assert stats["sink_batches"] > 0
-        assert stats["sink_fallbacks"] is None
+        assert "sink_fallbacks" not in stats
 
-    def test_session_legacy_sink_counts_fallbacks(self):
+    def test_session_per_event_sink_sees_every_instruction(self):
         events = []
         result = (
             Session("pi", scale=0.05, seed=1)
             .predictors("tournament")
-            .sink(events.append)
+            .sink(per_event(events.append))
             .run()
         )
-        assert result.sink_fallbacks == result.sink_batches > 0
-        assert result.sink_fallback_consumers == ["list.append"]
+        assert result.sink_batches > 0
         assert len(events) == result.instructions
+        assert not hasattr(result, "sink_fallbacks")
+
+
+def _executor_run(sink):
+    Executor(get_workload("pi").build(0.02), seed=1).run(sink=sink)
+
+
+def _compiled_run(sink):
+    from repro.engines import create_engine
+
+    program = get_workload("pi").build(0.02)
+    create_engine("compiled").executor(program, seed=1).run(sink=sink)
+
+
+def _replay(sink, tmp_path):
+    from repro.trace import TraceStore
+
+    store = TraceStore(tmp_path)
+    session = Session("pi", scale=0.02, seed=1).trace(store)
+    session.run()
+    store.open(session.trace_digest()).replay(sink)
+
+
+SINK_ENTRY_POINTS = {
+    "Executor.run": lambda sink, tmp_path: _executor_run(sink),
+    "Executor.step": lambda sink, tmp_path: Executor(
+        get_workload("pi").build(0.02), seed=1).step(1, sink=sink),
+    "CompiledExecutor.run": lambda sink, tmp_path: _compiled_run(sink),
+    "TraceReader.replay": _replay,
+    "Session.sink": lambda sink, tmp_path: Session("pi").sink(sink),
+    "FanOut": lambda sink, tmp_path: FanOut([sink]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SINK_ENTRY_POINTS))
+def test_sink_entry_point_rejects_plain_callable(entry, tmp_path):
+    events = []
+    with pytest.raises(TypeError, match="per_event"):
+        SINK_ENTRY_POINTS[entry](events.append, tmp_path)
+    assert events == []
+    # The adapter is the documented way in.
+    SINK_ENTRY_POINTS[entry](per_event(events.append), tmp_path)
 
 
 # ----------------------------------------------------------------------
@@ -317,8 +370,8 @@ def test_diff_sink_detects_tally_skew():
 
 
 # ----------------------------------------------------------------------
-# Hypothesis: generated programs, interp per-event vs batched, plus the
-# harness tally on top.
+# Hypothesis: generated programs, stepped one-row batches vs a straight
+# run on both tiers, plus the harness tally on top.
 # ----------------------------------------------------------------------
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -331,36 +384,37 @@ from hypothesis import strategies as st  # noqa: E402
 def test_generated_programs_batch_equivalence(seed, predictor):
     from repro.diff import build_program, generate
 
+    from repro.engines import create_engine
+
     program = build_program(generate(seed, "full"))
 
     reference = []
     ref_harness = PredictorHarness(create_predictor(predictor))
 
-    def per_event(event):
+    def observe(event):
         reference.append(event)
         ref_harness(event)
 
+    stepped = Executor(program, seed=seed)
+    sink = per_event(observe)
     try:
-        Executor(program, seed=seed).run(sink=per_event)
+        while stepped.step(1, sink=sink):
+            pass
     except Exception as exc:  # noqa: BLE001 — must fault identically below
         fault = f"{type(exc).__name__}: {exc}"
     else:
         fault = None
 
-    collector = _Collector()
-    batch_harness = PredictorHarness(create_predictor(predictor))
+    for executor in (Executor(program, seed=seed),
+                     create_engine("compiled").executor(program, seed=seed)):
+        collector = _Collector()
+        batch_harness = PredictorHarness(create_predictor(predictor))
+        try:
+            executor.run(sink=FanOut([collector, batch_harness]))
+        except Exception as exc:  # noqa: BLE001
+            assert fault == f"{type(exc).__name__}: {exc}"
+        else:
+            assert fault is None
 
-    class Fan:
-        def consume_batch(self, batch):
-            collector.consume_batch(batch)
-            batch_harness.consume_batch(batch)
-
-    try:
-        Executor(program, seed=seed).run(sink=Fan())
-    except Exception as exc:  # noqa: BLE001
-        assert fault == f"{type(exc).__name__}: {exc}"
-    else:
-        assert fault is None
-
-    assert_streams_equal(reference, collector.events)
-    assert batch_harness.stats.as_dict() == ref_harness.stats.as_dict()
+        assert_streams_equal(reference, collector.events)
+        assert batch_harness.stats.as_dict() == ref_harness.stats.as_dict()

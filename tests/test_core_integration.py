@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PBSConfig, PBSEngine
-from repro.functional import Executor, ProbMode
+from repro.functional import Executor, ProbMode, per_event
 from repro.isa import F, ProgramBuilder, R
 
 
@@ -38,7 +38,7 @@ def run(program, seed=0, pbs=None, record_consumed=False):
         program, seed=seed, pbs=pbs, record_consumed=record_consumed
     )
     events = []
-    state = executor.run(sink=events.append)
+    state = executor.run(sink=per_event(events.append))
     return executor, state, events
 
 
@@ -120,7 +120,11 @@ class TestCategory2Swap:
 
     def test_consumed_value_consistent_with_direction(self):
         """Under PBS, whenever the add path executes, the value in F(1)
-        must be >= 0.5 (the swapped-in old value, not the new one)."""
+        must be >= 0.5 (the swapped-in old value, not the new one).
+
+        Stepping one instruction at a time with a ``per_event`` sink is
+        how a caller observes live executor state at each instruction:
+        the batch is delivered before ``step`` returns."""
         program = self.build_sum_program(400)
         engine = PBSEngine()
         executor = Executor(program, seed=3, pbs=engine)
@@ -128,14 +132,17 @@ class TestCategory2Swap:
         violations = []
         adds_on_taken_path = []
 
-        def sink(event):
+        def observe(event):
             if event.op.name == "FADD":
                 value = executor.state.regs[33]  # F(1)
                 adds_on_taken_path.append(value)
                 if value < 0.5:
                     violations.append(value)
 
-        executor.run(sink=sink)
+        sink = per_event(observe)
+        while executor.step(1, sink=sink):
+            pass
+        assert executor.halted
         assert adds_on_taken_path, "the taken path never executed"
         assert not violations
 
@@ -160,7 +167,8 @@ class TestDeterministicReplay:
             engine = PBSEngine()
             executor = Executor(program, seed=77, pbs=engine)
             trace = []
-            executor.run(sink=lambda e: trace.append((e.pc, e.taken, e.prob_mode)))
+            executor.run(sink=per_event(
+                lambda e: trace.append((e.pc, e.taken, e.prob_mode))))
             return trace, executor.state.output()
 
         first_trace, first_out = run_trace()

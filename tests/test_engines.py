@@ -214,6 +214,35 @@ class TestCompiledTier:
         assert (cold, warm) == (False, True)
         assert any(tmp_path.rglob("*.py"))
 
+    def test_codegen_store_ignores_v3_entries(self, tmp_path, monkeypatch):
+        """v3 persisted a per-event variant under sink mode 1, which
+        calls ``sink(_E(...))``.  The v4 bump keeps any such entry from
+        loading as the batch sink variant: a cold memo over a store
+        filled under every v3 key still generates fresh code."""
+        import repro.engines.compiled as compiled
+        from repro.storage import canonical_digest
+
+        program = get_workload("pi").build(0.02)
+        monkeypatch.setattr(compiled, "CODEGEN_VERSION", 3)
+        old_digest = program_digest(program)
+        monkeypatch.undo()
+        assert program_digest(program) != old_digest
+        poisoned = ("def _compiled_run(self, sink):\n"
+                    "    raise AssertionError('v3 entry loaded')\n")
+        store = CompiledEngine(cache_dir=str(tmp_path)).store
+        for sink in (0, 1, 2, False, True):
+            for step in (False, True):
+                store.write_entry(canonical_digest({
+                    "program": old_digest,
+                    "variant": [sink, False, False, step],
+                }), poisoned)
+        _MEMO.clear()
+        result = (Session("pi").scale(0.02).predictors("tournament")
+                  .engine("compiled", cache_dir=str(tmp_path)).run())
+        assert result.engine_used == "compiled"
+        assert result.compiled_hit is False
+        assert result.sink_batches > 0
+
     def test_program_digest_is_stable_and_content_addressed(self):
         pi = get_workload("pi")
         assert program_digest(pi.build(0.02)) == program_digest(pi.build(0.02))

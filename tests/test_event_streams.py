@@ -16,9 +16,10 @@ The ``analyze/*`` entries pin the SHA-256 of the default
 ``analyze_trace`` report (every registered pass) for one captured
 trace per mode, so the analysis passes stay stream-equivalent too.
 
-The pins were generated by the per-event interpreter (one
-``TraceEvent`` per retired instruction).  Regenerate only after an
-*intentional* change of the event stream, with::
+The pins were first generated by the per-event interpreter (one
+``TraceEvent`` per retired instruction) that the batch protocol
+replaced, and fix that stream.  Regenerate only after an *intentional*
+change of the event stream, with::
 
     PYTHONPATH=src python -m tests.test_event_streams
 """
@@ -116,16 +117,10 @@ def case_id(name, mode):
 
 
 def compute_all(tmp_dir):
-    """Every pin, from the reference producer."""
+    """Every pin, from the interpreter."""
     out = {}
     for name, mode in stream_cases():
-        events = []
-        pbs = PBSEngine() if mode == "pbs" else None
-        get_workload(name).run(scale=SCALE, seed=SEED, pbs=pbs,
-                               sink=events.append)
-        digest = StreamDigest()
-        digest.consume_batch(EventBatch.from_events(events))
-        out[case_id(name, mode)] = digest.pin()
+        out[case_id(name, mode)] = run_workload(name, mode, StreamDigest()).pin()
     store = TraceStore(tmp_dir)
     for mode in MODES:
         out[f"analyze/{mode}"] = report_pin(

@@ -9,6 +9,7 @@ from repro.functional import (
     ExecutionLimitExceeded,
     Executor,
     ProbMode,
+    per_event,
 )
 from repro.isa import F, Op, ProgramBuilder, R
 
@@ -17,7 +18,7 @@ def run_program(builder, seed=0, **kwargs):
     program = builder.build()
     executor = Executor(program, seed=seed, **kwargs)
     events = []
-    state = executor.run(sink=events.append)
+    state = executor.run(sink=per_event(events.append))
     return executor, state, events
 
 
@@ -253,7 +254,7 @@ class TestDeterminism:
             builder = TestProbabilisticWithoutPbs().build_prob_loop(200)
             executor = Executor(builder.build(), seed=seed)
             pcs = []
-            executor.run(sink=lambda e: pcs.append((e.pc, e.taken)))
+            executor.run(sink=per_event(lambda e: pcs.append((e.pc, e.taken))))
             return pcs
 
         assert trace(42) == trace(42)

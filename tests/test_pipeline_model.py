@@ -179,11 +179,11 @@ class TestEndToEndTiming:
         program = self.build_prob_kernel(5000)
 
         base_core = OoOCore(four_wide(), Tournament())
-        Executor(program, seed=4).run(sink=base_core.feed)
+        Executor(program, seed=4).run(sink=base_core)
         base = base_core.finalize()
 
         pbs_core = OoOCore(four_wide(), Tournament())
-        Executor(program, seed=4, pbs=PBSEngine()).run(sink=pbs_core.feed)
+        Executor(program, seed=4, pbs=PBSEngine()).run(sink=pbs_core)
         with_pbs = pbs_core.finalize()
 
         assert with_pbs.mpki < 0.1 * base.mpki
@@ -194,7 +194,7 @@ class TestEndToEndTiming:
 
         def cycles():
             core = OoOCore(four_wide(), Tournament())
-            Executor(program, seed=4).run(sink=core.feed)
+            Executor(program, seed=4).run(sink=core)
             return core.finalize().cycles
 
         assert cycles() == cycles()

@@ -8,7 +8,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.core import PBSConfig
-from repro.functional.trace import ProbMode, TraceEvent
+from repro.functional.trace import EventBatch, ProbMode, TraceEvent
 from repro.isa.opcodes import OP_CLASS, Op
 from repro.sim import RemoteExecutor, RunSpec, Session, Sweep, WorkerServer
 from repro.storage import ShardedStore, canonical_digest
@@ -17,9 +17,9 @@ from repro.trace import (
     TraceReader,
     TraceStore,
     TraceWriter,
-    pack_event,
+    pack_batch,
     trace_digest,
-    unpack_events,
+    unpack_events_batch,
 )
 
 SCALE = 0.02
@@ -42,54 +42,87 @@ def _event(**overrides) -> TraceEvent:
 EVENT_FIELDS = TraceEvent.__slots__
 
 
+class _Rows:
+    """Batch sink keeping every row as a ``TraceEvent``."""
+
+    def __init__(self):
+        self.events = []
+
+    def consume_batch(self, batch):
+        self.events.extend(batch.events())
+
+
+def _decode(payload):
+    batch = EventBatch()
+    unpack_events_batch(payload, batch)
+    return list(batch.events())
+
+
 def _assert_events_equal(a: TraceEvent, b: TraceEvent):
     for field in EVENT_FIELDS:
         assert getattr(a, field) == getattr(b, field), field
 
 
 class TestEventPacking:
+    # One static instruction per pc, like a real program: the packer
+    # caches records per (pc, flags, target).
     CASES = [
         _event(),
-        _event(op=Op.HALT, op_class=OP_CLASS[Op.HALT], dest=-1, srcs=()),
-        _event(op=Op.BLT, op_class=OP_CLASS[Op.BLT], dest=-1,
+        _event(pc=8, op=Op.HALT, op_class=OP_CLASS[Op.HALT], dest=-1,
+               srcs=(), next_pc=9),
+        _event(pc=9, op=Op.BLT, op_class=OP_CLASS[Op.BLT], dest=-1,
                is_cond_branch=True, taken=True, target=2, next_pc=2),
-        _event(op=Op.BLT, op_class=OP_CLASS[Op.BLT], dest=-1,
-               is_cond_branch=True, taken=False, target=2, next_pc=8),
-        _event(op=Op.JMP, op_class=OP_CLASS[Op.JMP], dest=-1, srcs=(),
+        _event(pc=10, op=Op.BLT, op_class=OP_CLASS[Op.BLT], dest=-1,
+               is_cond_branch=True, taken=False, target=2, next_pc=11),
+        _event(pc=11, op=Op.JMP, op_class=OP_CLASS[Op.JMP], dest=-1, srcs=(),
                target=100, next_pc=100),
-        _event(op=Op.LOAD, op_class=OP_CLASS[Op.LOAD], srcs=(4,), addr=123),
-        _event(op=Op.STORE, op_class=OP_CLASS[Op.STORE], dest=-1,
-               srcs=(5, 6), addr=99, is_store=True),
-        _event(op=Op.PROB_JMP, op_class=OP_CLASS[Op.PROB_JMP], dest=-1,
+        _event(pc=12, op=Op.LOAD, op_class=OP_CLASS[Op.LOAD], srcs=(4,),
+               addr=123, next_pc=13),
+        _event(pc=13, op=Op.STORE, op_class=OP_CLASS[Op.STORE], dest=-1,
+               srcs=(5, 6), addr=99, is_store=True, next_pc=14),
+        _event(pc=14, op=Op.PROB_JMP, op_class=OP_CLASS[Op.PROB_JMP], dest=-1,
                is_cond_branch=True, taken=True, target=3, next_pc=3,
                prob_mode=ProbMode.PBS_HIT),
-        _event(op=Op.PROB_JMP, op_class=OP_CLASS[Op.PROB_JMP], dest=-1,
-               is_cond_branch=True, taken=False, target=3, next_pc=8,
+        _event(pc=15, op=Op.PROB_JMP, op_class=OP_CLASS[Op.PROB_JMP], dest=-1,
+               is_cond_branch=True, taken=False, target=3, next_pc=16,
                prob_mode=ProbMode.PREDICTED),
         # A taken branch whose target happens to be the fall-through.
-        _event(op=Op.JT, op_class=OP_CLASS[Op.JT], dest=-1, srcs=(),
-               is_cond_branch=True, taken=True, target=8, next_pc=8),
+        _event(pc=16, op=Op.JT, op_class=OP_CLASS[Op.JT], dest=-1, srcs=(),
+               is_cond_branch=True, taken=True, target=17, next_pc=17),
     ]
 
     def test_roundtrip_preserves_every_field(self):
-        payload = b"".join(pack_event(event) for event in self.CASES)
-        decoded = list(unpack_events(payload))
+        records = pack_batch(EventBatch.from_events(self.CASES), {})
+        decoded = _decode(b"".join(records))
         assert len(decoded) == len(self.CASES)
         for original, restored in zip(self.CASES, decoded):
             _assert_events_equal(original, restored)
 
+    def test_pack_cache_reuses_records_per_pc(self):
+        cache = {}
+        first = pack_batch(EventBatch.from_events(self.CASES), cache)
+        again = pack_batch(EventBatch.from_events(self.CASES), cache)
+        assert again == first
+        assert len(cache) == len(self.CASES)
+
+    def test_unencodable_next_pc_raises(self):
+        event = _event(next_pc=42)
+        with pytest.raises(TraceFormatError, match="unencodable"):
+            pack_batch(EventBatch.from_events([event]), {})
+
     def test_corrupt_payload_raises(self):
-        payload = pack_event(self.CASES[0])
+        payload = pack_batch(EventBatch.from_events(self.CASES[:1]), {})[0]
         with pytest.raises(TraceFormatError):
-            list(unpack_events(payload[:-1]))
+            _decode(payload[:-1])
 
 
 class TestTraceFile:
     def _capture(self, tmp_path, events, compress=True, meta=None):
         path = tmp_path / "t.trace"
         writer = TraceWriter(path, compress=compress, events_per_frame=4)
-        for event in events:
-            writer(event)
+        # Batches of 3 straddle the 4-event frames.
+        for start in range(0, len(events), 3):
+            writer.consume_batch(EventBatch.from_events(events[start:start + 3]))
         writer.finalize(meta or {"workload": "x"})
         return path
 
@@ -100,15 +133,21 @@ class TestTraceFile:
             reader = TraceReader(path)
             assert reader.events_count == len(events)
             assert reader.meta["workload"] == "x"
-            decoded = list(reader.events())
+            rows = _Rows()
+            assert reader.replay(rows) == len(events)
+            decoded = rows.events
             assert len(decoded) == len(events)
+            frames = [len(_decode(payload))
+                      for payload in reader._event_payloads()]
+            assert frames == [4] * (len(events) // 4) + (
+                [len(events) % 4] if len(events) % 4 else [])
             for original, restored in zip(events, decoded):
                 _assert_events_equal(original, restored)
 
     def test_unfinalized_file_is_unreadable(self, tmp_path):
         path = tmp_path / "partial.trace"
         writer = TraceWriter(path)
-        writer(_event())
+        writer.consume_batch(EventBatch.from_events([_event()]))
         writer._flush_frame()
         writer._handle.close()
         with pytest.raises(TraceFormatError):
@@ -173,8 +212,8 @@ class TestTraceDigest:
 class TestTraceStore:
     def _capture_one(self, store, digest, events=None, meta=None):
         capture = store.writer(digest)
-        for event in events or TestEventPacking.CASES:
-            capture.sink(event)
+        capture.sink.consume_batch(
+            EventBatch.from_events(events or TestEventPacking.CASES))
         capture.commit(meta or {
             "workload": "pi", "scale": SCALE, "seed": 1, "pbs_config": None,
         })
@@ -247,7 +286,7 @@ class TestTraceStore:
         store = TraceStore(tmp_path)
         digest = trace_digest("pi", SCALE, 3, None)
         capture = store.writer(digest)
-        capture.sink(_event())
+        capture.sink.consume_batch(EventBatch.from_events([_event()]))
         capture.abort()
         assert store.open(digest) is None
         assert not list(tmp_path.glob("??/*"))
@@ -261,8 +300,7 @@ class TestTraceStoreByteBudget:
     def _capture(self, store, seed):
         digest = trace_digest("pi", SCALE, seed, None)
         capture = store.writer(digest)
-        for event in TestEventPacking.CASES:
-            capture.sink(event)
+        capture.sink.consume_batch(EventBatch.from_events(TestEventPacking.CASES))
         capture.commit({
             "workload": "pi", "scale": SCALE, "seed": seed, "pbs_config": None,
         })

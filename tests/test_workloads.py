@@ -13,7 +13,7 @@ the functional simulator against each other.
 import pytest
 
 from repro.core import PBSEngine
-from repro.functional.trace import ProbMode
+from repro.functional.trace import ProbMode, per_event
 from repro.workloads import (
     all_workloads,
     get_workload,
@@ -186,7 +186,7 @@ class TestUnderPbs:
 
     def test_prob_events_marked(self):
         events = []
-        get_workload("pi").run(scale=SMALL, seed=1, sink=events.append)
+        get_workload("pi").run(scale=SMALL, seed=1, sink=per_event(events.append))
         prob = [e for e in events if e.prob_mode != ProbMode.NOT_PROB]
         assert prob
         assert all(e.prob_mode == ProbMode.PREDICTED for e in prob)
@@ -196,7 +196,7 @@ class TestUnderPbs:
         dynamic branches for the loop-structured benchmarks."""
         for name in ("bandit", "genetic", "swaptions"):
             events = []
-            get_workload(name).run(scale=SMALL, seed=1, sink=events.append)
+            get_workload(name).run(scale=SMALL, seed=1, sink=per_event(events.append))
             branches = [e for e in events if e.is_cond_branch]
             prob = [e for e in branches if e.prob_mode != ProbMode.NOT_PROB]
             assert 0 < len(prob) < 0.5 * len(branches), name
