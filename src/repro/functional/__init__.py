@@ -11,7 +11,7 @@ from .executor import (
 )
 from .rng import Drand48, RecordingRng
 from .state import MachineState, MemoryFault
-from .trace import EventBatch, ProbMode, TraceEvent, batch_consumer, per_event
+from .trace import EventBatch, ProbMode, TraceEvent, per_event
 
 __all__ = [
     "ExecutionError",
@@ -28,6 +28,5 @@ __all__ = [
     "EventBatch",
     "ProbMode",
     "TraceEvent",
-    "batch_consumer",
     "per_event",
 ]

@@ -217,9 +217,6 @@ class per_event:
         for event in batch.events():
             callback(event)
 
-    def __repr__(self) -> str:
-        return f"per_event({self.callback!r})"
-
 
 def batch_consumer(sink):
     """``sink.consume_batch``; a ``TypeError`` naming :func:`per_event`

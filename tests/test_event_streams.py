@@ -34,7 +34,7 @@ import pytest
 from repro.analysis import analyze_trace
 from repro.core import PBSEngine
 from repro.engines import create_engine
-from repro.functional import EventBatch
+from repro.functional import EventBatch, per_event
 from repro.sim import Session, get_workload
 from repro.sim.registry import paper_workload_names
 from repro.trace import TraceStore
@@ -73,16 +73,6 @@ class StreamDigest:
 
     def pin(self):
         return {"events": self.events, "sha256": self._sha.hexdigest()}
-
-
-class Exploder:
-    """Batch sink keeping every row as a ``TraceEvent``."""
-
-    def __init__(self):
-        self.events = []
-
-    def consume_batch(self, batch):
-        self.events.extend(batch.events())
 
 
 def run_workload(name, mode, sink, engine=None):
@@ -162,7 +152,8 @@ def test_replay_matches_pin(name, mode, pinned, tmp_path):
 
 @pytest.mark.parametrize("name,mode", stream_cases())
 def test_rechunked_batches_match_pin(name, mode, pinned):
-    events = run_workload(name, mode, Exploder()).events
+    events = []
+    run_workload(name, mode, per_event(events.append))
     rng = random.Random(f"{name}/{mode}")
     digest = StreamDigest()
     start = 0

@@ -8,7 +8,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.core import PBSConfig
-from repro.functional.trace import EventBatch, ProbMode, TraceEvent
+from repro.functional.trace import EventBatch, ProbMode, TraceEvent, per_event
 from repro.isa.opcodes import OP_CLASS, Op
 from repro.sim import RemoteExecutor, RunSpec, Session, Sweep, WorkerServer
 from repro.storage import ShardedStore, canonical_digest
@@ -40,16 +40,6 @@ def _event(**overrides) -> TraceEvent:
 
 
 EVENT_FIELDS = TraceEvent.__slots__
-
-
-class _Rows:
-    """Batch sink keeping every row as a ``TraceEvent``."""
-
-    def __init__(self):
-        self.events = []
-
-    def consume_batch(self, batch):
-        self.events.extend(batch.events())
 
 
 def _decode(payload):
@@ -133,10 +123,8 @@ class TestTraceFile:
             reader = TraceReader(path)
             assert reader.events_count == len(events)
             assert reader.meta["workload"] == "x"
-            rows = _Rows()
-            assert reader.replay(rows) == len(events)
-            decoded = rows.events
-            assert len(decoded) == len(events)
+            decoded = []
+            assert reader.replay(per_event(decoded.append)) == len(events)
             frames = [len(_decode(payload))
                       for payload in reader._event_payloads()]
             assert frames == [4] * (len(events) // 4) + (
