@@ -33,6 +33,9 @@ setup(
     python_requires=">=3.8",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    # The randomness battery and confidence intervals (Table III,
+    # Section VII-D) are built on numpy and scipy.
+    install_requires=["numpy", "scipy"],
     entry_points={
         "console_scripts": [
             "pbs-experiments = repro.experiments.runner:main",

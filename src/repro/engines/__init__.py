@@ -2,22 +2,23 @@
 
 An :class:`~repro.engines.base.Engine` picks the machinery that executes
 one workload program — the same program, the same results, different
-speed/capability trade-offs:
+speed:
 
+* ``"compiled"`` (the default) — translates the decoded program into
+  specialized Python (unrolled handlers, locals-bound registers, no
+  per-instruction dispatch), cached by program digest.
 * ``"interp"`` — the reference pre-decoded interpreter
-  (:class:`~repro.functional.Executor`); supports everything.
-* ``"compiled"`` — translates the decoded program into specialized
-  Python (unrolled handlers, locals-bound registers, no per-instruction
-  dispatch), cached by program digest; supports everything.
-* ``"vector"`` — executes N seeds of one Monte-Carlo workload in
-  lockstep on numpy arrays; sink-free, PBS-free, opt-in per workload.
+  (:class:`~repro.functional.Executor`).
 
-Engines register under :func:`~repro.engines.base.register_engine`,
-mirroring the workload/predictor/executor/analysis registries, and are
-selected through ``Session.engine(name, **options)``,
-``Sweep(engine=...)`` or the CLI ``--engine`` flag.  Every tier is under
-the same bit-identical contract as the interpreter: switching engines
-may never change a result.
+Both tiers run every workload with every attachment (sinks, PBS,
+consumed-value recording).  Engines register under
+:func:`~repro.engines.base.register_engine`, mirroring the
+workload/predictor/executor/analysis registries, and are selected
+through ``Session.engine(name, **options)``, ``Sweep(engine=...)`` or
+the CLI ``--engine`` flag; every run resolves its tier through
+:func:`~repro.engines.base.create_engine`.  Every tier is under the same
+bit-identical contract as the interpreter: switching engines may never
+change a result.
 """
 
 from .base import (
@@ -33,11 +34,9 @@ from .base import (
 )
 
 # Importing the tier modules runs their @register_engine decorators.
-from . import compiled, interp, vector  # noqa: E402,F401  (import side effect)
-from .vector import VectorIneligible
+from . import compiled, interp  # noqa: E402,F401  (import side effect)
 
 __all__ = [
-    "VectorIneligible",
     "ENGINES",
     "Engine",
     "create_engine",

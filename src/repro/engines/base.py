@@ -2,11 +2,10 @@
 
 An engine builds *executors*: objects duck-typed like
 :class:`repro.functional.Executor` — ``run(sink=None) -> MachineState``
-plus ``state``/``retired``/``consumed_values`` — for one program.  The
-engine also answers :meth:`Engine.supports` so callers
-(:class:`~repro.sim.session.Session`, :class:`~repro.sim.sweep.Sweep`)
-can fall back to the always-capable ``"interp"`` tier instead of
-failing when a workload or configuration is outside a tier's envelope.
+plus ``state``/``retired``/``consumed_values`` — for one program.
+Every run picks its engine through :func:`create_engine`; without an
+explicit choice that is the process-wide default directive
+(``"compiled"`` unless :func:`set_default_engine` says otherwise).
 """
 
 from __future__ import annotations
@@ -29,18 +28,6 @@ class Engine:
     #: True when the engine's most recent run was served from a warm
     #: artifact cache (e.g. compiled code already generated).
     last_cache_hit: bool = False
-
-    def supports(
-        self,
-        workload,
-        *,
-        pbs: bool = False,
-        sink: bool = False,
-        record_consumed: bool = False,
-    ) -> bool:
-        """Can this tier run ``workload`` under the given attachments
-        bit-identically?  Callers fall back to ``"interp"`` on False."""
-        return True
 
     def executor(
         self,
@@ -89,40 +76,48 @@ def list_engines() -> List[str]:
     return engine_names()
 
 
-def create_engine(engine: Union[str, Engine], **options) -> Engine:
-    """Resolve an engine argument to an instance.
+def create_engine(engine: Union[str, Engine, None] = None, **options) -> Engine:
+    """Resolve an engine argument to an instance — the one place a run
+    picks its execution tier.
 
-    A string is looked up in the registry; an :class:`Engine` instance
-    passes through untouched.  Options the engine does not accept raise
-    ``TypeError`` naming the valid ones.
+    ``None`` takes the process-wide default directive (see
+    :func:`set_default_engine`); a string is looked up in the registry;
+    an :class:`Engine` instance passes through untouched.  Options the
+    engine does not accept raise ``TypeError`` naming the valid ones.
     """
     if isinstance(engine, Engine):
         return engine
+    if engine is None:
+        engine, defaults = _DEFAULT
+        options = {**defaults, **options}
     cls = ENGINES.get(engine)
     validate_options("engine", engine, cls, options)
     return cls(**options)
 
 
+#: The built-in default directive: every run not naming a tier compiles.
+_BUILTIN_DEFAULT: Tuple[str, Dict] = ("compiled", {})
+
 #: Process-wide default engine directive, set by the CLI's ``run
 #: --engine`` so experiment modules pick up the tier without every
 #: artefact function growing an ``engine`` parameter.
-_DEFAULT: Optional[Tuple[str, Dict]] = None
+_DEFAULT: Tuple[str, Dict] = _BUILTIN_DEFAULT
 
 
 def set_default_engine(name: Optional[str], **options) -> None:
-    """Set (or clear, with ``None``) the process-wide default engine.
+    """Set the process-wide default engine (``None`` restores the
+    built-in ``"compiled"`` default).
 
-    Sessions without an explicit ``.engine(...)`` call use the default;
-    ``None`` restores the direct interpreter path.
+    Runs without an explicit engine choice use the default.
     """
     global _DEFAULT
     if name is None:
-        _DEFAULT = None
+        _DEFAULT = _BUILTIN_DEFAULT
     else:
         get_engine(name)  # fail fast on unknown names
         _DEFAULT = (name, dict(options))
 
 
-def default_engine() -> Optional[Tuple[str, Dict]]:
-    """The process-wide ``(name, options)`` default, or ``None``."""
+def default_engine() -> Tuple[str, Dict]:
+    """The process-wide ``(name, options)`` default."""
     return _DEFAULT

@@ -10,8 +10,9 @@ Four design-choice sweeps DESIGN.md calls out:
 * **context support** — §V-C1's context tracking on vs off.
 
 Every simulation goes through :class:`repro.sim.Session`; only the
-predication/CFD program variants still drive the Executor directly
-(they run transformed programs, not registered workloads).
+predication/CFD program variants take an executor from the default
+engine directly (they run transformed programs, not registered
+workloads).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional, Sequence
 
 from ..branch import Tournament
 from ..core import PBSConfig
-from ..functional import Executor
+from ..engines import create_engine
 from ..pipeline import OoOCore, four_wide
 from ..sim import Session, get_workload
 from ..transforms import build_cfd, build_predicated, cfd_applicable
@@ -70,7 +71,7 @@ def technique_comparison(
         try:
             program = build_predicated(name, scale=scale)
             pred_core = OoOCore(four_wide(), Tournament())
-            Executor(program, seed=seed).run(sink=pred_core)
+            create_engine().executor(program, seed=seed).run(sink=pred_core)
             predication = pred_core.finalize().cycles
         except KeyError:
             predication = "n/a"
@@ -79,7 +80,7 @@ def technique_comparison(
         cfd_core = OoOCore(
             four_wide(), Tournament(), oracle_pcs=cfd.queue_branch_pcs
         )
-        Executor(cfd.program, seed=seed).run(sink=cfd_core)
+        create_engine().executor(cfd.program, seed=seed).run(sink=cfd_core)
         cfd_cycles = cfd_core.finalize().cycles
 
         pbs_cycles = _timed_cycles(name, scale, seed, pbs=True)

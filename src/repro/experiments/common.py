@@ -3,82 +3,23 @@
 Every experiment module exposes ``run(scale=..., seed=..., ...) ->
 ExperimentResult`` returning a renderable table, plus module-level
 constants naming the paper artefact it reproduces.  Simulation itself
-goes through :mod:`repro.sim` — a :class:`~repro.sim.Session` interprets
+goes through :mod:`repro.sim` — a :class:`~repro.sim.Session` executes
 each benchmark once and fans the trace out to all consumers; the
 experiments are thin, declarative sweeps over it.
-
-The old helpers (:func:`run_workload`, :func:`predictor_factories`)
-remain as deprecated wrappers over the Session API for external callers;
-``mpki_pair`` and ``timed_matrix`` have been removed — use
-:class:`repro.sim.Session` (with ``.timing()`` for the latter) instead.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
-from ..sim import DEFAULT_SCALE, DEFAULT_SEED, FanOut, baseline_predictors
-from ..sim.registry import get_workload, predictor_factory
+from ..sim import DEFAULT_SCALE, DEFAULT_SEED
 
 __all__ = [
     "DEFAULT_SCALE",
     "DEFAULT_SEED",
     "ExperimentResult",
-    "MultiSink",
     "geometric_mean",
-    "predictor_factories",
-    "run_workload",
 ]
-
-#: Legacy alias — the fan-out sink now lives in :mod:`repro.sim`.
-MultiSink = FanOut
-
-
-def predictor_factories() -> Dict[str, Callable[[], object]]:
-    """The paper's two baseline predictors (Section VI-B).
-
-    .. deprecated:: use the :mod:`repro.sim` predictor registry
-       (:func:`repro.sim.baseline_predictors` /
-       :func:`repro.sim.predictor_factory`).
-    """
-    warnings.warn(
-        "predictor_factories is deprecated; use the repro.sim predictor "
-        "registry instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return {name: predictor_factory(name) for name in baseline_predictors()}
-
-
-def run_workload(
-    name: str,
-    scale: float,
-    seed: int,
-    consumers: Sequence[Callable],
-    pbs=None,
-    record_consumed: bool = False,
-):
-    """Execute benchmark ``name`` once, feeding all ``consumers``.
-
-    .. deprecated:: use :class:`repro.sim.Session` directly.
-    """
-    warnings.warn(
-        "run_workload is deprecated; use repro.sim.Session instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    workload = get_workload(name)
-    sink = None
-    if consumers:
-        sink = consumers[0] if len(consumers) == 1 else FanOut(consumers)
-    return workload.run(
-        scale=scale,
-        seed=seed,
-        pbs=pbs,
-        sink=sink,
-        record_consumed=record_consumed,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ applicable variant and checking it runs to the same outputs.
 
 from __future__ import annotations
 
-from ..functional import Executor
+from ..engines import create_engine
 from ..sim import Session, get_workload, paper_workload_names
 from ..transforms import TABLE1, build_cfd, build_predicated
 from .common import ExperimentResult
@@ -30,7 +30,7 @@ def _verify_variant(kind: str, name: str) -> str:
         program = build_predicated(name, scale=VERIFY_SCALE)
     else:
         program = build_cfd(name, scale=VERIFY_SCALE).program
-    state = Executor(program, seed=2).run()
+    state = create_engine().executor(program, seed=2).run()
     outputs = workload.outputs(state)
     return "yes (verified)" if outputs == original else "yes (DIVERGES!)"
 

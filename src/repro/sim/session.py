@@ -117,14 +117,12 @@ class Session:
     def engine(self, name: Optional[str] = None, **options) -> "Session":
         """Select the execution tier (see :mod:`repro.engines`).
 
-        ``name`` is a registered engine (``"interp"``, ``"compiled"``,
-        ``"vector"``); ``options`` go to its constructor (e.g.
-        ``cache_dir=`` for the compiled tier's persistent codegen
-        cache).  If the chosen tier does not support this session's
-        workload/attachments, ``run()`` silently falls back to
-        ``"interp"`` — tiers change speed, never results.  ``None``
-        restores the default (the process-wide directive set by the CLI
-        ``--engine`` flag, or the direct interpreter path).
+        ``name`` is a registered engine (``"compiled"``, ``"interp"``);
+        ``options`` go to its constructor (e.g. ``cache_dir=`` for the
+        compiled tier's persistent codegen cache).  Tiers change speed,
+        never results.  ``None`` restores the default: the process-wide
+        directive set by the CLI ``--engine`` flag, ``"compiled"``
+        unless set.
         """
         if name is not None:
             from ..engines import get_engine
@@ -264,6 +262,7 @@ class Session:
 
     def run(self) -> RunResult:
         from ..core import PBSEngine
+        from ..engines import create_engine
 
         store = self._trace_store
         if store is not None:
@@ -305,12 +304,7 @@ class Session:
             # executor's semantics do not depend on the flag.
             record_consumed = True
         sink = FanOut(consumers) if consumers else None
-
-        tier = self._resolve_engine(
-            workload,
-            sink=sink is not None,
-            record_consumed=record_consumed,
-        )
+        tier = create_engine(self._engine_name, **self._engine_options)
 
         started = time.perf_counter()
         try:
@@ -363,35 +357,11 @@ class Session:
         )
         if capture is not None:
             result.trace_origin = "capture"
-        if tier is not None:
-            result.engine_used = tier.name
-            result.compiled_hit = tier.last_cache_hit
+        result.engine_used = tier.name
+        result.compiled_hit = tier.last_cache_hit
         if sink is not None:
             result.sink_batches = sink.batches
         return result
-
-    def _resolve_engine(self, workload, *, sink: bool, record_consumed: bool):
-        """The Engine instance for this run, or ``None`` for the direct
-        interpreter path.  Unsupported tier requests fall back to
-        ``"interp"`` — engine choice may change speed, never results."""
-        from ..engines import create_engine, default_engine
-
-        if self._engine_name is not None:
-            directive = (self._engine_name, self._engine_options)
-        else:
-            directive = default_engine()
-        if directive is None:
-            return None
-        name, options = directive
-        tier = create_engine(name, **options)
-        if not tier.supports(
-            workload,
-            pbs=self._pbs_config is not None,
-            sink=sink,
-            record_consumed=record_consumed,
-        ):
-            tier = create_engine("interp")
-        return tier
 
     def _replay(self, reader) -> RunResult:
         """Rebuild a :class:`RunResult` from a stored trace, feeding the

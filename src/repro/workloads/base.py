@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..core import PBSConfig, PBSEngine
-from ..functional import Executor
 from ..isa import Program
 
 
@@ -46,10 +45,6 @@ class Workload(abc.ABC):
     #: (those are excluded from
     #: :func:`repro.sim.registry.paper_workload_names`).
     paper: Optional[PaperFacts] = PaperFacts(0, 0, 1, "")
-    #: Opt-in to the numpy lockstep tier (:mod:`repro.engines.vector`).
-    #: Declares that the program is memory-, call- and normal-free and
-    #: that its integer state fits in int64.
-    vectorizable: bool = False
 
     @abc.abstractmethod
     def build(self, scale: float = 1.0) -> Program:
@@ -83,18 +78,17 @@ class Workload(abc.ABC):
     ) -> "WorkloadRun":
         """Execute the workload and package the results.
 
-        ``engine`` is an :class:`repro.engines.Engine` instance choosing
-        the execution tier; ``None`` keeps the direct interpreter path.
+        ``engine`` chooses the execution tier: an
+        :class:`repro.engines.Engine` instance or a registered name;
+        ``None`` takes the process-wide default (see
+        :func:`repro.engines.create_engine`).
         """
+        from ..engines import create_engine
+
         program = self.build(scale)
-        if engine is not None:
-            executor = engine.executor(
-                program, seed=seed, pbs=pbs, record_consumed=record_consumed
-            )
-        else:
-            executor = Executor(
-                program, seed=seed, pbs=pbs, record_consumed=record_consumed
-            )
+        executor = create_engine(engine).executor(
+            program, seed=seed, pbs=pbs, record_consumed=record_consumed
+        )
         state = executor.run(sink=sink)
         return WorkloadRun(
             workload=self,

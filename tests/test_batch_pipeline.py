@@ -47,7 +47,7 @@ SEED = 1
 
 def capture_events(workload=WORKLOAD, scale=SCALE, seed=SEED):
     events = []
-    get_workload(workload).run(scale=scale, seed=seed,
+    get_workload(workload).run(scale=scale, seed=seed, engine="interp",
                                sink=per_event(events.append))
     return events
 
@@ -191,7 +191,8 @@ def test_harness_batch_matches_per_event_pbs(name):
 
     events = []
     get_workload(WORKLOAD).run(
-        scale=SCALE, seed=SEED, pbs=PBSEngine(), sink=per_event(events.append)
+        scale=SCALE, seed=SEED, pbs=PBSEngine(), engine="interp",
+        sink=per_event(events.append),
     )
     assert any(e.prob_mode != ProbMode.NOT_PROB for e in events)
 
@@ -386,7 +387,7 @@ def test_generated_programs_batch_equivalence(seed, predictor):
 
     from repro.engines import create_engine
 
-    program = build_program(generate(seed, "full"))
+    program = build_program(generate(seed))
 
     reference = []
     ref_harness = PredictorHarness(create_predictor(predictor))

@@ -6,8 +6,8 @@ Three suites:
   the workload/predictor/executor/analysis registries, and every
   ``create_*`` entry point rejects unknown options with an error that
   names the valid ones;
-* bit-identity — the compiled and vector tiers reproduce the
-  interpreter exactly (registers, outputs, retired counts, stats),
+* bit-identity — the compiled tier reproduces the interpreter exactly
+  (registers, outputs, retired counts, stats),
   including a hypothesis differential test over random builder
   programs;
 * plumbing — engine directives thread through Session, Sweep, RunSpec
@@ -36,12 +36,6 @@ from repro.engines.compiled import (
     generate_source,
     program_digest,
 )
-from repro.engines.vector import (
-    VectorEngine,
-    execute_lanes,
-    ineligible_ops,
-    vector_eligible,
-)
 from repro.functional import Executor
 from repro.isa import F, ProgramBuilder, R
 from repro.sim import (
@@ -53,16 +47,6 @@ from repro.sim import (
     get_workload,
     workload_names,
 )
-
-VECTORIZABLE = [
-    name for name in workload_names()
-    if get_workload(name).vectorizable
-]
-SCALAR_ONLY = [
-    name for name in workload_names()
-    if not get_workload(name).vectorizable
-]
-
 
 def interp_state(program, seed=0):
     executor = Executor(program, seed=seed)
@@ -93,7 +77,8 @@ def assert_states_match(reference, candidate, label):
 # ---------------------------------------------------------------------------
 class TestEngineRegistry:
     def test_builtin_tiers_registered(self):
-        assert set(engine_names()) >= {"interp", "compiled", "vector"}
+        assert set(engine_names()) >= {"interp", "compiled"}
+        assert "vector" not in engine_names()
         assert list_engines() == engine_names()
 
     def test_get_unknown_engine_names_catalog(self):
@@ -153,13 +138,15 @@ class TestOptionValidation:
         assert name in str(excinfo.value)
 
     def test_default_engine_round_trip(self):
-        assert default_engine() is None
+        assert default_engine() == ("compiled", {})
+        assert create_engine().name == "compiled"
         try:
-            set_default_engine("compiled")
-            assert default_engine() == ("compiled", {})
+            set_default_engine("interp")
+            assert default_engine() == ("interp", {})
+            assert create_engine().name == "interp"
         finally:
-            set_default_engine(None)
-        assert default_engine() is None
+            set_default_engine(None)  # restores the built-in default
+        assert default_engine() == ("compiled", {})
 
     def test_default_engine_unknown_name(self):
         with pytest.raises(KeyError, match="registered engines"):
@@ -257,56 +244,6 @@ class TestCompiledTier:
 
 
 # ---------------------------------------------------------------------------
-# Vector tier: lockstep columns match N serial runs.
-# ---------------------------------------------------------------------------
-try:
-    import numpy  # noqa: F401
-    HAVE_NUMPY = True
-except ImportError:  # CI runs the tier without numpy: vector tests
-    HAVE_NUMPY = False  # skip, everything else (incl. fallback) runs.
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-
-
-class TestVectorTier:
-    @needs_numpy
-    @pytest.mark.parametrize("name", VECTORIZABLE)
-    def test_column_matches_serial_interp(self, name):
-        program = get_workload(name).build(0.02)
-        assert vector_eligible(program), ineligible_ops(
-            Executor._decode(program.instructions)
-        )
-        seeds = [0, 1, 5, 9]
-        states, retired = execute_lanes(program, seeds)
-        for seed, state, count in zip(seeds, states, retired):
-            reference = interp_state(program, seed=seed)
-            assert_states_match(
-                reference, (state, count), f"vector:{name}:seed{seed}"
-            )
-
-    @pytest.mark.parametrize("name", SCALAR_ONLY)
-    def test_scalar_only_workloads_stay_ineligible(self, name):
-        workload = get_workload(name)
-        assert not VectorEngine().supports(workload)
-
-    @needs_numpy
-    def test_supports_refuses_attachments(self):
-        workload = get_workload("pi")
-        engine = VectorEngine()
-        assert engine.supports(workload)
-        assert not engine.supports(workload, pbs=True)
-        assert not engine.supports(workload, sink=True)
-        assert not engine.supports(workload, record_consumed=True)
-
-    @needs_numpy
-    def test_single_lane_executor_matches_interp(self):
-        program = get_workload("pi").build(0.02)
-        reference = interp_state(program, seed=7)
-        candidate = engine_state("vector", program, seed=7)
-        assert_states_match(reference, candidate, "vector:1lane")
-
-
-# ---------------------------------------------------------------------------
 # Plumbing: Session/Sweep/RunSpec/stat counters.
 # ---------------------------------------------------------------------------
 class TestEngineThreading:
@@ -314,19 +251,27 @@ class TestEngineThreading:
         with pytest.raises(KeyError, match="registered engines"):
             Session("pi").engine("turbo")
 
-    def test_session_falls_back_to_interp(self):
-        # Predictors need a trace sink, which the vector tier refuses;
-        # the Session silently substitutes the interpreter tier.
+    def test_session_named_interp_matches_compiled_default(self):
         result = (
             Session("pi").scale(0.02).predictors("bimodal")
-            .engine("vector").run()
+            .engine("interp").run()
         )
         assert result.engine_used == "interp"
         baseline = Session("pi").scale(0.02).predictors("bimodal").run()
+        assert baseline.engine_used == "compiled"
         assert result.outputs == baseline.outputs
         assert result.predictors["bimodal"].mpki == pytest.approx(
             baseline.predictors["bimodal"].mpki
         )
+
+    def test_workload_run_resolves_one_engine(self):
+        workload = get_workload("pi")
+        default = workload.run(scale=0.02, seed=1)
+        assert type(default.executor).__name__ == "CompiledExecutor"
+        interp = workload.run(scale=0.02, seed=1, engine="interp")
+        assert type(interp.executor) is Executor
+        assert interp.outputs == default.outputs
+        assert interp.instructions == default.instructions
 
     def test_engine_used_is_transient(self):
         result = Session("pi").scale(0.02).engine("compiled").run()
@@ -350,35 +295,15 @@ class TestEngineThreading:
         with pytest.raises(KeyError, match="registered engines"):
             Sweep(workloads=["pi"], engine="turbo")
 
-    @needs_numpy
-    def test_sweep_vector_columns_match_interp(self):
-        grid = dict(workloads=["pi"], scales=[0.02], seeds=range(5),
-                    modes=["base"], predictors=[])
-        vector = Sweep(**grid, engine="vector").run(executor="serial")
-        interp = Sweep(**grid).run(executor="serial")
-        stats = vector.to_stats()
-        assert stats["vectorized"] == 5
-        assert stats["engine_used"] == {"vector": 5}
-        for a, b in zip(vector, interp):
-            assert a.outputs == b.outputs
-            assert a.instructions == b.instructions
-        assert len(vector.select(engine="vector")) == 5
-        assert len(vector.select(engine=None)) == 0
-
-    def test_sweep_vector_falls_back_for_predictor_grids(self):
-        # Default sweeps attach the paper-baseline predictors; those need
-        # sinks, so the lockstep stage declines and every point runs
-        # through the executor path (which itself falls back to interp).
+    def test_default_sweep_runs_compiled(self):
         grid = dict(workloads=["pi"], scales=[0.02], seeds=range(2),
-                    modes=["base"])
-        vector = Sweep(**grid, engine="vector").run(executor="serial")
-        interp = Sweep(**grid).run(executor="serial")
-        assert vector.to_stats()["vectorized"] == 0
-        assert vector.to_stats()["engine_used"] == {"interp": 2}
-        for a, b in zip(vector, interp):
-            a_dict, b_dict = a.to_dict(), b.to_dict()
-            a_dict.pop("wall_time"), b_dict.pop("wall_time")
-            assert a_dict == b_dict
+                    modes=["base", "pbs"])
+        result = Sweep(**grid).run(executor="serial")
+        assert result.to_stats()["engine_used"] == {"compiled": 4}
+        assert len(result.select(engine="compiled")) == 4
+        assert result.select(engine="interp") == []
+        stats = result.to_stats()
+        assert "vectorized" not in stats and "engine_fallbacks" not in stats
 
     def test_sweep_compiled_counts_hits(self):
         grid = dict(workloads=["pi"], scales=[0.02], seeds=range(3),
@@ -387,73 +312,6 @@ class TestEngineThreading:
         stats = result.to_stats()
         assert stats["engine_used"] == {"compiled": 3}
         assert stats["compiled_hits"] >= 2  # first point may compile
-
-    @needs_numpy
-    def test_clean_vector_sweep_reports_no_fallbacks(self):
-        grid = dict(workloads=["pi"], scales=[0.02], seeds=range(2),
-                    modes=["base"], predictors=[])
-        result = Sweep(**grid, engine="vector").run(executor="serial")
-        assert result.engine_fallbacks == []
-        assert result.to_stats()["engine_fallbacks"] is None
-
-    @needs_numpy
-    def test_vector_ineligibility_surfaces_in_stats(self, monkeypatch):
-        from repro.engines.vector import VectorIneligible
-
-        real = execute_lanes
-
-        def decline(program, seeds, **kwargs):
-            if len(seeds) > 1:  # only the sweep's lockstep columns
-                raise VectorIneligible("test decline")
-            return real(program, seeds, **kwargs)
-
-        monkeypatch.setattr("repro.engines.vector.execute_lanes", decline)
-        monkeypatch.setenv("REPRO_ENGINE_STRICT", "1")  # must NOT raise
-        grid = dict(workloads=["pi"], scales=[0.02], seeds=range(2),
-                    modes=["base"], predictors=[])
-        result = Sweep(**grid, engine="vector").run(executor="serial")
-        fallbacks = result.to_stats()["engine_fallbacks"]
-        assert fallbacks["count"] == 1
-        assert fallbacks["reasons"][0]["kind"] == "ineligible"
-        assert fallbacks["reasons"][0]["workload"] == "pi"
-        assert "test decline" in fallbacks["reasons"][0]["reason"]
-        # The per-spec path still produced interp-identical results.
-        interp = Sweep(**grid).run(executor="serial")
-        for a, b in zip(result, interp):
-            assert a.outputs == b.outputs
-
-    @needs_numpy
-    def test_vector_fault_is_surfaced_not_swallowed(self, monkeypatch):
-        real = execute_lanes
-
-        def explode(program, seeds, **kwargs):
-            if len(seeds) > 1:
-                raise RuntimeError("broken lane kernel")
-            return real(program, seeds, **kwargs)
-
-        monkeypatch.setattr("repro.engines.vector.execute_lanes", explode)
-        monkeypatch.delenv("REPRO_ENGINE_STRICT", raising=False)
-        grid = dict(workloads=["pi"], scales=[0.02], seeds=range(2),
-                    modes=["base"], predictors=[])
-        result = Sweep(**grid, engine="vector").run(executor="serial")
-        fallbacks = result.to_stats()["engine_fallbacks"]
-        assert fallbacks["count"] == 1
-        assert fallbacks["reasons"][0]["kind"] == "fault"
-        assert "RuntimeError: broken lane kernel" in (
-            fallbacks["reasons"][0]["reason"]
-        )
-
-    @needs_numpy
-    def test_strict_mode_reraises_engine_faults(self, monkeypatch):
-        def explode(program, seeds, **kwargs):
-            raise RuntimeError("broken lane kernel")
-
-        monkeypatch.setattr("repro.engines.vector.execute_lanes", explode)
-        monkeypatch.setenv("REPRO_ENGINE_STRICT", "1")
-        grid = dict(workloads=["pi"], scales=[0.02], seeds=range(2),
-                    modes=["base"], predictors=[])
-        with pytest.raises(RuntimeError, match="broken lane kernel"):
-            Sweep(**grid, engine="vector").run(executor="serial")
 
 
 # ---------------------------------------------------------------------------

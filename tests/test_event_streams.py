@@ -33,7 +33,6 @@ import pytest
 
 from repro.analysis import analyze_trace
 from repro.core import PBSEngine
-from repro.engines import create_engine
 from repro.functional import EventBatch, per_event
 from repro.sim import Session, get_workload
 from repro.sim.registry import paper_workload_names
@@ -75,7 +74,7 @@ class StreamDigest:
         return {"events": self.events, "sha256": self._sha.hexdigest()}
 
 
-def run_workload(name, mode, sink, engine=None):
+def run_workload(name, mode, sink, engine):
     pbs = PBSEngine() if mode == "pbs" else None
     get_workload(name).run(scale=SCALE, seed=SEED, pbs=pbs, sink=sink,
                            engine=engine)
@@ -110,7 +109,8 @@ def compute_all(tmp_dir):
     """Every pin, from the interpreter."""
     out = {}
     for name, mode in stream_cases():
-        out[case_id(name, mode)] = run_workload(name, mode, StreamDigest()).pin()
+        out[case_id(name, mode)] = run_workload(
+            name, mode, StreamDigest(), "interp").pin()
     store = TraceStore(tmp_dir)
     for mode in MODES:
         out[f"analyze/{mode}"] = report_pin(
@@ -131,14 +131,13 @@ def test_fixture_covers_every_case(pinned):
 
 @pytest.mark.parametrize("name,mode", stream_cases())
 def test_interp_batches_match_pin(name, mode, pinned):
-    got = run_workload(name, mode, StreamDigest()).pin()
+    got = run_workload(name, mode, StreamDigest(), "interp").pin()
     assert got == pinned[case_id(name, mode)]
 
 
 @pytest.mark.parametrize("name,mode", stream_cases())
 def test_compiled_batches_match_pin(name, mode, pinned):
-    got = run_workload(name, mode, StreamDigest(),
-                       engine=create_engine("compiled")).pin()
+    got = run_workload(name, mode, StreamDigest(), "compiled").pin()
     assert got == pinned[case_id(name, mode)]
 
 
@@ -153,7 +152,7 @@ def test_replay_matches_pin(name, mode, pinned, tmp_path):
 @pytest.mark.parametrize("name,mode", stream_cases())
 def test_rechunked_batches_match_pin(name, mode, pinned):
     events = []
-    run_workload(name, mode, per_event(events.append))
+    run_workload(name, mode, per_event(events.append), "interp")
     rng = random.Random(f"{name}/{mode}")
     digest = StreamDigest()
     start = 0

@@ -1,7 +1,10 @@
 """Tests for the repro.sim Session/Sweep API and plugin registries."""
 
 import json
-import warnings
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -190,3 +193,29 @@ class TestRemovedShims:
         assert not hasattr(common, "timed_matrix")
         assert "mpki_pair" not in common.__all__
         assert "timed_matrix" not in common.__all__
+
+    @pytest.mark.parametrize(
+        "name", ["run_workload", "predictor_factories", "MultiSink"]
+    )
+    def test_deprecated_experiment_wrappers_are_gone(self, name):
+        # Use Session, the repro.sim predictor registry and FanOut.
+        from repro.experiments import common
+
+        assert not hasattr(common, name)
+        assert name not in common.__all__
+
+
+def test_import_loads_neither_scipy_nor_numpy():
+    # Only the randomness battery needs them; a fresh interpreter that
+    # imports the simulation API must not pay for them.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    probe = (
+        "import sys, repro.sim; "
+        "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=env, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
