@@ -64,11 +64,11 @@ class SwapTable:
 
     def __init__(self, entries: int):
         self.capacity = entries
-        self._used: Dict[BranchKey, int] = {}
+        self.by_key: Dict[BranchKey, int] = {}
 
     @property
     def used(self) -> int:
-        return sum(self._used.values())
+        return sum(self.by_key.values())
 
     @property
     def free(self) -> int:
@@ -79,11 +79,11 @@ class SwapTable:
             return True
         if count > self.free:
             return False
-        self._used[key] = count
+        self.by_key[key] = count
         return True
 
     def release(self, key: BranchKey) -> None:
-        self._used.pop(key, None)
+        self.by_key.pop(key, None)
 
 
 class ProbInFlightTable:
@@ -96,24 +96,24 @@ class ProbInFlightTable:
 
     def __init__(self, depth: int):
         self.depth = depth
-        self._queues: Dict[BranchKey, Deque[InFlightRecord]] = {}
+        self.queues: Dict[BranchKey, Deque[InFlightRecord]] = {}
 
     def push(self, key: BranchKey, record: InFlightRecord) -> None:
-        self._queues.setdefault(key, deque()).append(record)
+        self.queues.setdefault(key, deque()).append(record)
 
     def pull_if_ready(self, key: BranchKey) -> Optional[InFlightRecord]:
         """Pop the oldest record once ``depth`` instances are outstanding."""
-        queue = self._queues.get(key)
+        queue = self.queues.get(key)
         if queue is not None and len(queue) >= self.depth:
             return queue.popleft()
         return None
 
     def occupancy(self, key: BranchKey) -> int:
-        queue = self._queues.get(key)
+        queue = self.queues.get(key)
         return len(queue) if queue is not None else 0
 
     def release(self, key: BranchKey) -> None:
-        self._queues.pop(key, None)
+        self.queues.pop(key, None)
 
 
 class ProbBTB:
@@ -122,11 +122,11 @@ class ProbBTB:
 
     def __init__(self, entries: int):
         self.capacity = entries
-        self._entries: Dict[BranchKey, ProbBTBEntry] = {}
+        self.entries: Dict[BranchKey, ProbBTBEntry] = {}
         self._use_clock = 0
 
     def lookup(self, key: BranchKey) -> Optional[ProbBTBEntry]:
-        entry = self._entries.get(key)
+        entry = self.entries.get(key)
         if entry is not None:
             self._use_clock += 1
             entry.last_use = self._use_clock
@@ -134,11 +134,11 @@ class ProbBTB:
 
     @property
     def occupancy(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     @property
     def full(self) -> bool:
-        return len(self._entries) >= self.capacity
+        return len(self.entries) >= self.capacity
 
     def allocate(
         self, key: BranchKey, target: int, const_val, num_values: int
@@ -148,7 +148,7 @@ class ProbBTB:
         entry = ProbBTBEntry(key, target, const_val, num_values)
         self._use_clock += 1
         entry.last_use = self._use_clock
-        self._entries[key] = entry
+        self.entries[key] = entry
         return entry
 
     def evict_candidate(self, active_slot: int) -> Optional[BranchKey]:
@@ -162,7 +162,7 @@ class ProbBTB:
         """
         candidates = [
             entry
-            for entry in self._entries.values()
+            for entry in self.entries.values()
             if entry.loop_slot != active_slot
         ]
         if not candidates:
@@ -170,7 +170,7 @@ class ProbBTB:
         return min(candidates, key=lambda entry: entry.last_use).key
 
     def invalidate(self, key: BranchKey) -> None:
-        self._entries.pop(key, None)
+        self.entries.pop(key, None)
 
     def flush_loop_slot(self, slot: int) -> List[BranchKey]:
         """Clear every entry associated with a context-table slot.
@@ -180,11 +180,11 @@ class ProbBTB:
         valid bit", reclaiming the value storage.
         """
         victims = [
-            key for key, entry in self._entries.items() if entry.loop_slot == slot
+            key for key, entry in self.entries.items() if entry.loop_slot == slot
         ]
         for key in victims:
-            del self._entries[key]
+            del self.entries[key]
         return victims
 
     def keys(self):
-        return list(self._entries.keys())
+        return list(self.entries.keys())

@@ -13,7 +13,8 @@ two tiers disagree; this package says *where*:
   first divergence as a structured
   :class:`~repro.diff.harness.Divergence` delta.
 * :mod:`~repro.diff.generator` — random, shrinkable ISA programs that
-  stay inside every tier's defined envelope by construction.
+  stay inside every tier's defined envelope by construction, with
+  optional PBS macros for PBS-attached lockstep.
 * :mod:`~repro.diff.shrink` — delta-debugging minimizer for diverging
   generated programs.
 
@@ -25,6 +26,7 @@ from .harness import Divergence, diff_tiers
 from .shrink import shrink
 from .steppers import (
     DIFF_MAX_INSTRUCTIONS,
+    PBS_CONFIGS,
     STEPPERS,
     CompiledStepper,
     InterpStepper,
@@ -40,6 +42,7 @@ __all__ = [
     "diff_tiers",
     "shrink",
     "DIFF_MAX_INSTRUCTIONS",
+    "PBS_CONFIGS",
     "STEPPERS",
     "CompiledStepper",
     "InterpStepper",

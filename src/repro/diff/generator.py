@@ -23,6 +23,18 @@ NaN semantics are part of the cross-tier contract.  Programs cover the
 whole ISA: integer and float arithmetic, selects, compare-and-jump,
 ``RAND``/``RANDN``, ``PROB_CMP``/``PROB_JMP``, memory traffic and
 ``CALL``/``RET``.
+
+``generate(seed, pbs=True)`` adds the PBS macros, which drive the PBS
+engine's Prob-BTB and Context-Table through every path while staying
+safe under value swapping: each probabilistic value lives in a
+dedicated register (F11–F15) that only feeds float arithmetic, and loop
+counters (R10–R12) are never probabilistic, so a replayed direction or
+swapped value cannot change how long a program runs.  They cover
+two- and three-value groups, a comparison constant that varies (Const-Val
+mismatches), inner loops closed by a backward ``JMP`` or a backward
+conditional branch (loop allocation, termination and eviction), and
+probabilistic branches one and two calls deep (the function-PC context
+and its depth limit).
 """
 
 from __future__ import annotations
@@ -60,6 +72,14 @@ _KINDS = (
 )
 
 
+#: PBS macro kinds, added to the draw by ``generate(seed, pbs=True)``.
+_PBS_KINDS = (
+    "probswap", "probvar", "probloop", "probnest", "probcall", "probdeep",
+)
+#: Macro kinds that call the PBS subroutines ``psub``/``psub2``.
+_PBS_CALLS = ("probcall", "probdeep")
+
+
 @dataclass(frozen=True)
 class GenProgram:
     """A generated program as a shrinkable descriptor."""
@@ -74,13 +94,15 @@ class GenProgram:
         return f"gen-{self.seed}"
 
 
-def generate(seed: int) -> GenProgram:
-    """Roll one random program descriptor from ``seed``."""
+def generate(seed: int, pbs: bool = False) -> GenProgram:
+    """Roll one random program descriptor from ``seed``; ``pbs`` adds
+    the PBS macros to the draw."""
     rng = random.Random(seed)
+    kinds = _KINDS + _PBS_KINDS if pbs else _KINDS
     body = []
     use_sub = False
     for _ in range(rng.randint(6, 20)):
-        kind = rng.choice(_KINDS)
+        kind = rng.choice(kinds)
         if kind == "int":
             body.append((kind, rng.choice(_INT_OPS), rng.choice(_IREGS),
                          rng.choice(_IREGS), rng.choice(_IREGS)))
@@ -134,6 +156,26 @@ def generate(seed: int) -> GenProgram:
         elif kind == "call":
             body.append((kind,))
             use_sub = True
+        elif kind == "probswap":
+            body.append((kind, rng.choice(_CMP_OPS),
+                         round(rng.uniform(0.1, 0.9), 4),
+                         rng.choice(_FREGS), rng.random() < 0.3))
+        elif kind == "probvar":
+            body.append((kind, rng.choice(_CMP_OPS), rng.choice(_FREGS),
+                         rng.choice(_FREGS)))
+        elif kind == "probloop":
+            trips = rng.randint(2, 5)
+            low = rng.randint(1, trips)
+            body.append((kind, rng.choice(_CMP_OPS),
+                         round(rng.uniform(0.1, 0.9), 4), trips, low,
+                         rng.randint(low, trips + 1), rng.choice(_IREGS)))
+        elif kind == "probnest":
+            trips = rng.randint(2, 4)
+            body.append((kind, rng.choice(_CMP_OPS),
+                         round(rng.uniform(0.1, 0.9), 4), trips,
+                         rng.randint(0, trips), rng.choice(_IREGS)))
+        elif kind in _PBS_CALLS:
+            body.append((kind,))
     return GenProgram(
         seed=seed,
         iters=rng.randint(2, 6),
@@ -181,6 +223,20 @@ def build_program(gen: GenProgram) -> Program:
         b.add(R(9), R(1), R(2))
         b.and_(R(9), R(9), _INT_MASK)
         b.xor(R(3), R(3), R(9))
+        b.ret()
+    if any(macro[0] in _PBS_CALLS for macro in gen.body):
+        # psub: a probabilistic branch inside a function called from the
+        # loop body; psub2 reaches it one call deeper.
+        b.label("psub")
+        b.rand(F(14))
+        b.prob_cmp("lt", F(14), 0.5)
+        b.prob_jmp(None, "psub_ret")
+        b.add(R(13), R(13), 1)
+        b.and_(R(13), R(13), _INT_MASK)
+        b.label("psub_ret")
+        b.ret()
+        b.label("psub2")
+        b.call("psub")
         b.ret()
 
     return b.build()
@@ -310,5 +366,85 @@ def _emit(b: ProgramBuilder, macro: Tuple, fresh) -> None:
         b.fload(F(d), R(8))
     elif kind == "call":
         b.call("sub0")
+    elif kind == "probswap":
+        # Two-value group: PROB_CMP on F11, the jumping PROB_JMP
+        # registers F12, which then feeds a working register.  ``three``
+        # adds an intermediate PROB_JMP on F15: one value more than a
+        # Prob-BTB entry takes by default.
+        _, operator, threshold, fdst, three = macro
+        skip = fresh()
+        b.rand(F(11))
+        b.rand(F(12))
+        if three:
+            b.rand(F(15))
+        b.prob_cmp(operator, F(11), threshold)
+        if three:
+            b.prob_jmp(F(15), None)
+        b.prob_jmp(F(12), skip)
+        b.fadd(F(fdst), F(fdst), F(12))
+        b.label(skip)
+        b.nop()
+    elif kind == "probvar":
+        # The comparison constant is a working register that other
+        # macros keep changing: Const-Val mismatches and blacklisting.
+        _, operator, fconst, fdst = macro
+        skip = fresh()
+        b.rand(F(11))
+        b.prob_cmp(operator, F(11), F(fconst))
+        b.prob_jmp(None, skip)
+        b.fadd(F(fdst), F(fdst), 0.25)
+        b.label(skip)
+        b.nop()
+    elif kind == "probloop":
+        # Inner loop with three backward branches to one head, in PC
+        # order A < C < B.  Iterations below ``low`` take the JMP at A,
+        # which allocates the loop with Last-PC = A; later ones skip A
+        # and take the JMP at B, raising Last-PC to B; from ``late`` on
+        # they also pass C, a never-taken BLT that would terminate the
+        # loop had Last-PC stayed at A.  The loop leaves forward.
+        _, operator, threshold, trips, low, late, filler = macro
+        head, upper, lower, back, done = (fresh() for _ in range(5))
+        b.li(R(10), 0)
+        b.label(head)
+        b.add(R(10), R(10), 1)
+        b.bgt(R(10), trips, done)
+        b.bge(R(10), low, upper)
+        b.jmp(head)                       # A
+        b.label(upper)
+        b.rand(F(13))
+        b.prob_cmp(operator, F(13), threshold)
+        b.prob_jmp(None, lower)
+        b.xor(R(filler), R(filler), 0x55)
+        b.label(lower)
+        b.blt(R(10), late, back)
+        b.blt(R(10), 0, head)             # C
+        b.label(back)
+        b.jmp(head)                       # B
+        b.label(done)
+        b.nop()
+    elif kind == "probnest":
+        # Two nested counted loops around a probabilistic branch: with
+        # the outer generated loop that is three live loops, one more
+        # than the default Context-Table holds.
+        _, operator, threshold, trips, bound, filler = macro
+        outer, inner, skip = fresh(), fresh(), fresh()
+        b.li(R(11), 0)
+        b.label(outer)
+        b.li(R(12), 0)
+        b.label(inner)
+        b.rand(F(13))
+        b.prob_cmp(operator, F(13), threshold)
+        b.prob_jmp(None, skip)
+        b.add(R(filler), R(filler), bound + 1)
+        b.and_(R(filler), R(filler), _INT_MASK)
+        b.label(skip)
+        b.add(R(12), R(12), 1)
+        b.blt(R(12), trips, inner)
+        b.add(R(11), R(11), 1)
+        b.blt(R(11), 2, outer)
+    elif kind == "probcall":
+        b.call("psub")
+    elif kind == "probdeep":
+        b.call("psub2")
     else:  # pragma: no cover - descriptors come from generate()
         raise ValueError(f"unknown macro kind {kind!r}")

@@ -9,6 +9,10 @@ cursor and output channels.  The first mismatch is returned as a
 the differing state cells, and the decoded instruction that committed
 the diverging step.
 
+With ``pbs=`` (a :class:`~repro.core.PBSConfig`) every tier drives its
+own PBS engine and the barrier comparison adds the engines'
+``PBSStats`` counters and their ``save_state()`` tables.
+
 Coarser strides (``stride > 1``) trade pinpointing for speed; when a
 coarse pass trips, the harness re-runs the program at stride 1 so the
 reported divergence is always step-exact.
@@ -23,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..core import PBSConfig
 from ..functional.executor import ExecutionError, ExecutionLimitExceeded
 from ..isa.disassembler import disassemble_instruction
 from ..isa.program import Program
@@ -251,6 +256,28 @@ def _compare_at_barrier(
                     if len(deltas) >= MAX_DELTAS:
                         break
 
+    # PBS-attached mode: each tier drives its own engine, whose counters
+    # and saved tables (the §V-C2 context-switch state) must agree.
+    for field_name, observe in (("pbs-stats", Stepper.pbs_stats),
+                                ("pbs-state", Stepper.pbs_state)):
+        ours = observe(reference)
+        if ours is None:
+            continue
+        for stepper in steppers[1:]:
+            theirs = observe(stepper)
+            for key in ours:
+                if len(deltas) < MAX_DELTAS and ours[key] != theirs[key]:
+                    deltas.append(
+                        {
+                            "field": field_name,
+                            "index": key,
+                            "values": {
+                                reference.name: str(ours[key]),
+                                stepper.name: str(theirs[key]),
+                            },
+                        }
+                    )
+
     # Output channels: compare as flattened (channel, position) cells.
     ref_out = reference.outputs()
     for stepper in steppers[1:]:
@@ -302,6 +329,7 @@ def diff_tiers(
     max_instructions: int = DIFF_MAX_INSTRUCTIONS,
     stride: int = 1,
     predictor: Optional[str] = None,
+    pbs: Optional[PBSConfig] = None,
 ) -> Optional[Divergence]:
     """Co-execute ``program`` on every tier in ``tiers`` and return the
     first divergence, or ``None`` when all tiers agree to completion.
@@ -317,6 +345,11 @@ def diff_tiers(
     event pipeline itself under the lockstep contract.  Only
     sink-capable tiers (``interp``, ``compiled``) may be combined with
     it.
+
+    ``pbs`` attaches a fresh :class:`~repro.core.PBSEngine` with this
+    config to every tier and compares the engines' ``PBSStats`` and a
+    view of their ``save_state()`` at every barrier (see
+    :func:`~repro.diff.steppers.pbs_state_view`).
 
     A consistent fault — every tier raising the same exception type with
     the same message at the same retired count — is agreement, not a
@@ -345,13 +378,14 @@ def diff_tiers(
         steppers = [
             STEPPERS[t](
                 program, seed=seed, max_instructions=max_instructions,
-                sink=PredictorHarness(create_predictor(predictor)),
+                sink=PredictorHarness(create_predictor(predictor)), pbs=pbs,
             )
             for t in tiers
         ]
     else:
         steppers = [
-            STEPPERS[t](program, seed=seed, max_instructions=max_instructions)
+            STEPPERS[t](program, seed=seed, max_instructions=max_instructions,
+                        pbs=pbs)
             for t in tiers
         ]
     reference = steppers[0]
@@ -381,6 +415,7 @@ def diff_tiers(
                     max_instructions=max_instructions,
                     stride=1,
                     predictor=predictor,
+                    pbs=pbs,
                 )
             text, pc = _diverging_instruction(program, last_pc)
             return Divergence(
@@ -409,6 +444,7 @@ def diff_tiers(
                     max_instructions=max_instructions,
                     stride=1,
                     predictor=predictor,
+                    pbs=pbs,
                 )
             return divergence
 

@@ -10,6 +10,13 @@ lockstep harness compares at every retired-count barrier:
 * ``regs()`` / ``memory()`` / ``rng_state()`` / ``outputs()`` — the
   architectural state, as plain Python values.
 
+With a :class:`~repro.core.PBSConfig` every tier drives its own
+:class:`~repro.core.PBSEngine`, and two more observations join the
+barrier comparison: ``pbs_stats()`` (the ``PBSStats`` counters) and
+``pbs_state()`` (a comparable view of ``save_state()``: Prob-BTB keys
+and records, SwapTable use, in-flight queues, Context-Table slots and
+the blacklist).
+
 ``compares_*`` class flags declare which observations a tier can
 honestly make: the replay tier, for instance, sees only the committed
 control flow that survived the trace wire format, so it opts out of
@@ -24,8 +31,9 @@ differential tests pin this boundary), and registering it in
 
 from __future__ import annotations
 
-from typing import Dict, List, Type
+from typing import Dict, List, Optional, Type
 
+from ..core import PBSConfig, PBSEngine
 from ..engines.compiled import CompiledExecutor
 from ..functional import EventBatch, Executor
 from ..isa.opcodes import Op
@@ -35,6 +43,48 @@ from ..trace.format import pack_batch, unpack_events_batch
 #: retire a few thousand instructions, so anything that gets here is a
 #: runaway loop worth failing fast on.
 DIFF_MAX_INSTRUCTIONS = 200_000
+
+#: Named PBS design points for PBS-attached lockstep: the paper's
+#: default, a one-entry Prob-BTB, no context support (Prob-BTB indexed
+#: by PC alone) and no blacklisting after a Const-Val mismatch.
+PBS_CONFIGS: Dict[str, Dict] = {
+    "default": {},
+    "one-branch": {"num_branches": 1},
+    "no-context": {"context_support": False},
+    "no-blacklist": {"blacklist_on_const_mismatch": False},
+}
+
+
+def pbs_state_view(engine: PBSEngine) -> Dict[str, str]:
+    """``engine.save_state()`` as plain, comparable strings per table.
+
+    Rendered with ``repr`` so NaN comparison constants compare equal and
+    a delta reads as the table contents.
+    """
+    state = engine.save_state()
+
+    def record(r):
+        return None if r is None else (r.taken, r.values)
+
+    return {
+        "btb": repr(sorted(
+            (key, entry.const_val, record(entry.record), entry.num_values,
+             entry.last_use)
+            for key, entry in state["btb"].entries.items()
+        )),
+        "swap": repr(sorted(state["swap"].by_key.items())),
+        "inflight": repr(sorted(
+            (key, [record(r) for r in queue])
+            for key, queue in state["inflight"].queues.items() if queue
+        )),
+        "context": repr([
+            None if slot is None else (
+                slot.loop_pc, slot.last_pc, slot.function_pc, slot.counter,
+                slot.sequence)
+            for slot in state["context"]["slots"]
+        ] + [state["context"]["sequence"]]),
+        "blacklist": repr(sorted(state["blacklist"])),
+    }
 
 
 class Stepper:
@@ -50,6 +100,8 @@ class Stepper:
     #: :class:`~repro.branch.PredictorHarness` per tier, tallies
     #: compared at every barrier).
     supports_sink = False
+    #: The attached PBS engine, when the tier runs PBS-attached.
+    pbs: Optional[PBSEngine] = None
 
     def step_to(self, target: int) -> None:
         """Advance until ``retired == target``, HALT, or the limit."""
@@ -59,6 +111,14 @@ class Stepper:
         """The attached sink's tally as a plain dict, or ``None`` when
         no comparable sink rides this tier."""
         return None
+
+    def pbs_stats(self) -> "Dict | None":
+        """The attached engine's ``PBSStats`` as a dict, or ``None``."""
+        return None if self.pbs is None else self.pbs.stats.as_dict()
+
+    def pbs_state(self) -> "Dict | None":
+        """:func:`pbs_state_view` of the attached engine, or ``None``."""
+        return None if self.pbs is None else pbs_state_view(self.pbs)
 
     @property
     def halted(self) -> bool:
@@ -94,9 +154,12 @@ class _ExecutorStepper(Stepper):
 
     def __init__(self, program, seed: int = 0,
                  max_instructions: int = DIFF_MAX_INSTRUCTIONS,
-                 sink=None):
+                 sink=None, pbs: Optional[PBSConfig] = None):
+        if pbs is not None:
+            self.pbs = PBSEngine(pbs)
         self._ex = self.executor_class(
-            program, seed=seed, max_instructions=max_instructions
+            program, seed=seed, max_instructions=max_instructions,
+            pbs=self.pbs,
         )
         self._sink = sink
 
@@ -169,9 +232,15 @@ class ReplayStepper(Stepper):
     compares_rng = False
 
     def __init__(self, program, seed: int = 0,
-                 max_instructions: int = DIFF_MAX_INSTRUCTIONS):
+                 max_instructions: int = DIFF_MAX_INSTRUCTIONS,
+                 pbs: Optional[PBSConfig] = None):
+        # PBS steers the committed path, so the replayed trace comes
+        # from a PBS-attached interpreter; its engine is compared too.
+        if pbs is not None:
+            self.pbs = PBSEngine(pbs)
         self._ex = Executor(
-            program, seed=seed, max_instructions=max_instructions
+            program, seed=seed, max_instructions=max_instructions,
+            pbs=self.pbs,
         )
         self._count = 0
         self._last_op = None

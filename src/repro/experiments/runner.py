@@ -433,6 +433,15 @@ def build_parser() -> argparse.ArgumentParser:
              "only: interp, compiled)",
     )
     diff_parser.add_argument(
+        "--pbs", nargs="?", const="default", default=None,
+        metavar="CONFIG",
+        help="PBS-attached lockstep: every tier drives its own PBS engine "
+             "(CONFIG: default, one-branch, no-context, no-blacklist; "
+             "default: default), PBS counters and saved tables are "
+             "compared at each barrier, and generated programs draw the "
+             "PBS macros too",
+    )
+    diff_parser.add_argument(
         "--workloads", type=_csv, default=None,
         help="also lockstep these registered workloads ('all' = every "
              "one) at --scale",
@@ -941,8 +950,10 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_diff(args) -> int:
+    from ..core import PBSConfig
     from ..diff import (
         DIFF_MAX_INSTRUCTIONS,
+        PBS_CONFIGS,
         STEPPERS,
         build_program,
         diff_tiers,
@@ -969,6 +980,13 @@ def _cmd_diff(args) -> int:
                   f"sink-capable tiers only (interp, compiled)",
                   file=sys.stderr)
             return 2
+    pbs = None
+    if args.pbs is not None:
+        if args.pbs not in PBS_CONFIGS:
+            print(f"error: unknown --pbs config {args.pbs!r}; known: "
+                  f"{', '.join(PBS_CONFIGS)}", file=sys.stderr)
+            return 2
+        pbs = PBSConfig(**PBS_CONFIGS[args.pbs])
     tiers = list(args.tiers)
     divergences = []
     checked = 0
@@ -979,12 +997,12 @@ def _cmd_diff(args) -> int:
         return diff_tiers(
             program, tiers, seed=seed,
             max_instructions=limit, stride=args.stride,
-            predictor=args.predictor,
+            predictor=args.predictor, pbs=pbs,
         )
 
     for index in range(args.programs):
         seed = args.seed + index
-        gen = generate(seed)
+        gen = generate(seed, pbs=pbs is not None)
         program = build_program(gen)
         divergence = run_case(program, seed)
         if divergence is None:
@@ -999,14 +1017,14 @@ def _cmd_diff(args) -> int:
                 return diff_tiers(
                     build_program(candidate), tiers, seed=seed,
                     max_instructions=limit,
-                    predictor=args.predictor,
+                    predictor=args.predictor, pbs=pbs,
                 ) is not None
 
             small, attempts = shrink(gen, still_diverges)
             minimized = diff_tiers(
                 build_program(small), tiers, seed=seed,
                 max_instructions=limit,
-                predictor=args.predictor,
+                predictor=args.predictor, pbs=pbs,
             )
             entry["minimized"] = {
                 "iters": small.iters,
@@ -1052,6 +1070,7 @@ def _cmd_diff(args) -> int:
         "tiers": tiers,
         "stride": args.stride,
         "predictor": args.predictor,
+        "pbs": args.pbs,
         "workloads": workload_reports,
         "divergences": divergences,
         "ok": not divergences,

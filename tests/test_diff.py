@@ -17,8 +17,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import PBSConfig
 from repro.diff import (
     DIFF_MAX_INSTRUCTIONS,
+    PBS_CONFIGS,
     STEPPERS,
     CompiledStepper,
     GenProgram,
@@ -232,6 +234,75 @@ class TestKnownDivergences:
 
 
 # ---------------------------------------------------------------------------
+# PBS-attached lockstep
+
+
+class _SkewedPbsStepper(CompiledStepper):
+    """Compiled tier whose PBS engine silently drops its Context-Table
+    state after 40 retired instructions — the seeded PBS divergence."""
+
+    name = "broken-pbs"
+
+    def step_to(self, target):
+        super().step_to(target)
+        if self.retired >= 40 and self.pbs.context.loops_detected:
+            self.pbs.context.reset()
+
+
+class TestPbsLockstep:
+    def test_pbs_macros_build_and_leave_plain_programs_alone(self):
+        kinds = set()
+        for seed in range(30):
+            gen = generate(seed, pbs=True)
+            build_program(gen)
+            kinds.update(macro[0] for macro in gen.body)
+        assert {"probswap", "probvar", "probloop", "probnest",
+                "probcall", "probdeep"} <= kinds
+        assert all(not macro[0].startswith("prob") or macro[0] == "probjmp"
+                   for seed in range(30) for macro in generate(seed).body)
+
+    @pytest.mark.parametrize("config", sorted(PBS_CONFIGS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tiers_agree_with_pbs_attached(self, seed, config):
+        program = build_program(generate(seed, pbs=True))
+        assert diff_tiers(
+            program, ("interp", "compiled", "replay"), seed=seed,
+            pbs=PBSConfig(**PBS_CONFIGS[config]),
+        ) is None
+
+    def test_steppers_expose_pbs_observations(self):
+        program = build_program(generate(2, pbs=True))
+        plain = InterpStepper(program, seed=2)
+        assert plain.pbs_stats() is None and plain.pbs_state() is None
+        stepper = CompiledStepper(program, seed=2, pbs=PBSConfig())
+        stepper.step_to(DIFF_MAX_INSTRUCTIONS)
+        assert stepper.halted
+        assert stepper.pbs_stats()["instances"] > 0
+        assert set(stepper.pbs_state()) == {
+            "btb", "swap", "inflight", "context", "blacklist"}
+
+    def test_pbs_state_divergence_localized(self):
+        STEPPERS[_SkewedPbsStepper.name] = _SkewedPbsStepper
+        try:
+            seed = next(s for s in range(50) if any(
+                m[0] in ("probloop", "probnest")
+                for m in generate(s, pbs=True).body))
+            program = build_program(generate(seed, pbs=True))
+            divergence = diff_tiers(
+                program, ("interp", "broken-pbs"), seed=seed,
+                pbs=PBSConfig(),
+            )
+        finally:
+            STEPPERS.pop(_SkewedPbsStepper.name, None)
+        assert divergence is not None
+        assert divergence.kind == "state"
+        assert any(
+            delta["field"] == "pbs-state" and delta["index"] == "context"
+            for delta in divergence.deltas
+        ), divergence.deltas
+
+
+# ---------------------------------------------------------------------------
 # max_instructions parity across tiers
 
 
@@ -351,6 +422,22 @@ class TestCli:
         assert report["checked"] == 3
         assert report["tiers"] == ["interp", "compiled"]
         assert report["divergences"] == []
+
+    def test_pbs_json_contract(self):
+        proc = _run_cli(
+            "--tiers", "interp,compiled", "--programs", "3",
+            "--seed", "0", "--pbs", "one-branch", "--json",
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["ok"] is True
+        assert report["pbs"] == "one-branch"
+        assert report["checked"] == 3
+
+    def test_unknown_pbs_config_is_usage_error(self):
+        proc = _run_cli("--programs", "1", "--pbs", "huge")
+        assert proc.returncode == 2
+        assert "unknown --pbs config" in proc.stderr
 
     def test_unknown_tier_is_usage_error(self):
         proc = _run_cli("--tiers", "interp,quantum", "--programs", "1")
