@@ -1,16 +1,19 @@
 """Microbenchmarks of the simulation substrates themselves.
 
 These measure the library's own throughput (instructions simulated per
-second, branch predictions per second, PBS transactions per second) so
-performance regressions in the simulator are visible.
+second, branch predictions per second, the PBS layer's cost per
+instruction) so performance regressions in the simulator are visible.
 """
 
 import random
+from time import perf_counter
+
+import pytest
 
 from repro.branch import TageSCL, Tournament
 from repro.core import PBSEngine
+from repro.engines import create_engine
 from repro.functional import Executor, per_event
-from repro.functional.executor import ProbGroup
 from repro.isa import ProgramBuilder, R
 from repro.workloads import get_workload
 
@@ -220,20 +223,46 @@ def test_bench_tagescl_prediction(benchmark):
     benchmark.pedantic(run, rounds=5, iterations=1, warmup_rounds=1)
 
 
-def test_bench_pbs_transactions(benchmark):
-    rng = random.Random(5)
-    values = [rng.random() for _ in range(20_000)]
+#: Rounds per PBS layer row: single rounds swing ±30% on a shared host.
+PBS_LAYER_ROUNDS = 5
 
-    def run():
-        engine = PBSEngine()
-        hits = 0
-        for value in values:
-            group = ProbGroup(100, "lt", value < 0.5, 0.5, [40], [value])
-            if engine.transact(group).mode == "hit":
-                hits += 1
-        return hits
 
-    assert benchmark(run) > 15_000
+@pytest.mark.parametrize("name", ("bandit", "genetic"))
+def test_bench_pbs_layer(benchmark, name):
+    """The PBS layer in ns per retired instruction: the compiled tier
+    with and without an attached PBSEngine, at scale 0.1, seed 0.
+
+    The two runs alternate round by round in one process and each
+    reports its best round; ``extra_info`` carries both figures and
+    their difference (the layer), the benchmark times the PBS run.
+    """
+    program = get_workload(name).build(0.1)
+    engine = create_engine("compiled")
+
+    def run(pbs):
+        executor = engine.executor(
+            program, seed=0, pbs=PBSEngine() if pbs else None)
+        started = perf_counter()
+        executor.run()
+        return perf_counter() - started, executor.retired
+
+    best = {False: float("inf"), True: float("inf")}
+    retired = {}
+    for _ in range(PBS_LAYER_ROUNDS + 1):  # the first round warms codegen
+        for pbs in (False, True):
+            seconds, retired[pbs] = run(pbs)
+            best[pbs] = min(best[pbs], seconds)
+    base_ns = best[False] / retired[False] * 1e9
+    pbs_ns = best[True] / retired[True] * 1e9
+    benchmark.extra_info.update(
+        instructions=retired[True],
+        compiled_ns_per_instr=round(base_ns, 1),
+        compiled_pbs_ns_per_instr=round(pbs_ns, 1),
+        pbs_layer_ns_per_instr=round(pbs_ns - base_ns, 1),
+    )
+    benchmark.pedantic(run, args=(True,), rounds=PBS_LAYER_ROUNDS,
+                       iterations=1, warmup_rounds=1)
+    assert retired[True] > 10_000
 
 
 def test_bench_full_stack_pi(benchmark):

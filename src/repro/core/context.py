@@ -23,18 +23,15 @@ Loop detection protocol:
 Function calls: a call made while a loop is active records the call PC in
 the entry's ``Function-PC`` field and bumps a 3-bit depth counter; returns
 decrement it.  Probabilistic branches are tracked only at depth 0 (in the
-loop body) or 1 (inside a function called from the loop body).
+loop body) or 1 (inside a function called from the loop body): a branch
+is keyed by the context ``(active slot, Function-PC)``, or ``(-1, 0)``
+outside every loop (see :meth:`repro.core.PBSEngine.transact`).
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Callable, List, Optional, Tuple
-
-#: A context key: (loop slot index or -1, function call PC or 0).
-ContextKey = Tuple[int, int]
-
-NO_CONTEXT: ContextKey = (-1, 0)
+from typing import Callable, Dict, List, Optional
 
 
 class _LoopEntry:
@@ -53,6 +50,16 @@ class ContextTable:
 
     ``on_flush`` is invoked with a slot index whenever that slot's PBS
     entries must be cleared (loop termination, eviction).
+
+    Two views of ``slots`` are kept current on allocate, flush,
+    :meth:`restore` and :meth:`reset`, so no lookup scans the slots:
+
+    * ``active`` — the most recently allocated live slot, or -1; PBS
+      keys probabilistic branches and call depth by it;
+    * ``loops`` — Loop-PC -> live entry.  The compiled tier binds this
+      dict once per run and handles the common backward branch inline
+      (taken into a known loop: raise its ``last_pc``), so it is only
+      ever updated in place.
     """
 
     MAX_COUNTER = 7  # 3-bit depth counter
@@ -67,54 +74,62 @@ class ContextTable:
         self.max_function_depth = max_function_depth
         self.on_flush = on_flush
         self.slots: List[Optional[_LoopEntry]] = [None] * entries
+        self.active = -1
+        self.loops: Dict[int, _LoopEntry] = {}
         self._sequence = 0
         self.loops_detected = 0
         self.loops_terminated = 0
         self.evictions = 0
 
     # ------------------------------------------------------------------
+    def _recache(self) -> None:
+        """Rebuild ``loops`` (in place) and ``active`` from the slots."""
+        self.loops.clear()
+        for entry in self.slots:
+            if entry is not None:
+                self.loops.setdefault(entry.loop_pc, entry)
+        self._reactivate()
+
+    def _reactivate(self) -> None:
+        """Point ``active`` at the newest live slot, or -1."""
+        active = -1
+        newest = -1
+        for index, entry in enumerate(self.slots):
+            if entry is not None and entry.sequence > newest:
+                newest = entry.sequence
+                active = index
+        self.active = active
+
     def _flush_slot(self, slot: int) -> None:
-        if self.slots[slot] is not None:
+        entry = self.slots[slot]
+        if entry is not None:
             self.slots[slot] = None
+            if self.loops.get(entry.loop_pc) is entry:
+                del self.loops[entry.loop_pc]
+            if slot == self.active:
+                self._reactivate()
             if self.on_flush is not None:
                 self.on_flush(slot)
 
-    def _active_slot(self) -> int:
-        """Most recently allocated live slot, or -1."""
-        best = -1
-        best_seq = -1
-        for index, entry in enumerate(self.slots):
-            if entry is not None and entry.sequence > best_seq:
-                best_seq = entry.sequence
-                best = index
-        return best
-
-    def _find_loop(self, loop_pc: int) -> int:
-        for index, entry in enumerate(self.slots):
-            if entry is not None and entry.loop_pc == loop_pc:
-                return index
-        return -1
-
     def _allocate(self, loop_pc: int, last_pc: int) -> int:
-        if all(entry is None for entry in self.slots):
+        slots = self.slots
+        if self.active < 0:
             # Entering the first loop ends the "no loop" context: PBS
             # entries allocated before any loop was detected (slot -1)
             # belong to a context that has now finished.
             if self.on_flush is not None:
                 self.on_flush(-1)
-        free = next(
-            (i for i, entry in enumerate(self.slots) if entry is None), -1
-        )
-        if free < 0:
+        if None in slots:
+            free = slots.index(None)
+        else:
             # Evict the oldest entry, clearing its PBS state.
-            oldest = min(
-                range(self.capacity), key=lambda i: self.slots[i].sequence
-            )
+            free = min(range(self.capacity), key=lambda i: slots[i].sequence)
             self.evictions += 1
-            self._flush_slot(oldest)
-            free = oldest
+            self._flush_slot(free)
         self._sequence += 1
-        self.slots[free] = _LoopEntry(loop_pc, last_pc, self._sequence)
+        entry = slots[free] = _LoopEntry(loop_pc, last_pc, self._sequence)
+        self.loops[loop_pc] = entry
+        self.active = free
         self.loops_detected += 1
         return free
 
@@ -124,32 +139,29 @@ class ContextTable:
         if target is None or target >= pc:
             return  # only backward branches matter for loop tracking
 
-        slot = self._find_loop(target)
+        entry = self.loops.get(target)
         if taken:
-            if slot >= 0:
-                entry = self.slots[slot]
-                if pc > entry.last_pc:
-                    entry.last_pc = pc
-            else:
+            if entry is None:
                 self._allocate(target, pc)
+            elif pc > entry.last_pc:
+                entry.last_pc = pc
             return
 
         # Not-taken backward branch: terminates the loop it belongs to if
         # the branch sits at or beyond the recorded Last-PC.
-        if slot >= 0 and pc >= self.slots[slot].last_pc:
-            terminated = self.slots[slot]
+        if entry is not None and pc >= entry.last_pc:
             self.loops_terminated += 1
-            self._flush_slot(slot)
+            self._flush_slot(self.slots.index(entry))
             # If the terminated loop is older than another live loop that
             # is *nested inside it* we would leave a stale inner loop; the
             # paper erases both when the older one terminates first.
-            for index, entry in enumerate(self.slots):
-                if entry is not None and entry.sequence > terminated.sequence:
+            for index, other in enumerate(self.slots):
+                if other is not None and other.sequence > entry.sequence:
                     self.loops_terminated += 1
                     self._flush_slot(index)
 
     def observe_call(self, pc: int) -> None:
-        slot = self._active_slot()
+        slot = self.active
         if slot < 0:
             return
         entry = self.slots[slot]
@@ -159,7 +171,7 @@ class ContextTable:
             entry.function_pc = pc
 
     def observe_return(self, pc: int) -> None:
-        slot = self._active_slot()
+        slot = self.active
         if slot < 0:
             return
         entry = self.slots[slot]
@@ -169,21 +181,6 @@ class ContextTable:
             entry.function_pc = 0
 
     # ------------------------------------------------------------------
-    def current_context(self) -> Optional[ContextKey]:
-        """Context key for a probabilistic branch encountered now.
-
-        Returns ``None`` when PBS must not track the branch (function-call
-        depth beyond the supported level).
-        """
-        slot = self._active_slot()
-        if slot < 0:
-            return NO_CONTEXT
-        entry = self.slots[slot]
-        if entry.counter > self.max_function_depth:
-            return None
-        function_pc = entry.function_pc if entry.counter >= 1 else 0
-        return (slot, function_pc)
-
     def snapshot(self) -> dict:
         """Capture the loop/call context for a context switch.
 
@@ -198,6 +195,7 @@ class ContextTable:
     def restore(self, snapshot: dict) -> None:
         self.slots = copy.deepcopy(snapshot["slots"])
         self._sequence = snapshot["sequence"]
+        self._recache()
 
     def reset(self) -> None:
         for slot in range(self.capacity):

@@ -1,9 +1,11 @@
 """The PBS engine: ties the tables together and implements the protocol.
 
-The functional simulator calls :meth:`PBSEngine.transact` for every
-executed probabilistic branch group and :meth:`observe_branch` /
+Both execution tiers call :meth:`PBSEngine.transact` for every executed
+probabilistic branch group and :meth:`observe_branch` /
 :meth:`observe_call` / :meth:`observe_return` for the surrounding control
-flow.  The engine decides, per instance, between three modes:
+flow (the compiled tier keeps the common backward-branch case inline; see
+:class:`~repro.core.context.ContextTable`).  The engine decides, per
+instance, between three modes:
 
 ``hit``
     The Prob-BTB steers fetch with a recorded direction; the recorded
@@ -25,12 +27,20 @@ flow.  The engine decides, per instance, between three modes:
 from __future__ import annotations
 
 import copy
-from typing import Optional, Set
+from collections import deque
+from typing import List, Optional, Set
 
-from ..functional.executor import ProbDecision, ProbGroup
+from ..functional.executor import ProbDecision
 from .config import PBSConfig
 from .context import ContextTable
-from .tables import BranchKey, InFlightRecord, ProbBTB, ProbInFlightTable, SwapTable
+from .tables import BranchKey, ProbBTB, ProbInFlightTable, SwapTable
+
+# Decisions without swap values depend on the direction alone: one
+# shared instance each.  Hits are built with ``tuple.__new__``, which
+# skips the named tuple's Python-level constructor.
+_REGULAR = {cond: ProbDecision("regular", cond) for cond in (False, True)}
+_BOOT = {cond: ProbDecision("boot", cond) for cond in (False, True)}
+_new_decision = tuple.__new__
 
 
 class PBSStats:
@@ -105,66 +115,92 @@ class PBSEngine:
     # ------------------------------------------------------------------
     # The probabilistic branch transaction.
     # ------------------------------------------------------------------
-    def transact(self, group: ProbGroup) -> ProbDecision:
-        self.stats.instances += 1
+    def transact(
+        self, jmp_pc: int, cond: bool, const_value, regs: List[int],
+        values: List[float],
+    ) -> ProbDecision:
+        """Decide one probabilistic branch instance.
 
-        key = self._branch_key(group)
-        if key is None:
-            # Function-call depth beyond the supported level: PBS treats
-            # the branch as regular (paper §V-C1).
-            self.stats.deep_call_rejects += 1
-            self.stats.fallbacks += 1
-            return ProbDecision("regular", group.cond)
+        ``jmp_pc`` is the PC of the jumping PROB_JMP (the Prob-BTB
+        index), ``cond`` the direction computed from the new value,
+        ``const_value`` the comparison constant (the Const-Val safety
+        field), ``regs`` the group's probabilistic registers in order
+        [PROB_CMP reg, intermediate PROB_JMP regs..., final PROB_JMP reg]
+        and ``values`` the newly generated values in them.  The engine
+        keeps ``values`` as the in-flight record, so the caller hands
+        over a list it no longer mutates.
+        """
+        stats = self.stats
+        stats.instances += 1
+
+        # The branch key: (jmp_pc, active loop slot, Function-PC).
+        if self.config.context_support:
+            context = self.context
+            slot = context.active
+            if slot < 0:
+                key = (jmp_pc, -1, 0)
+            else:
+                loop = context.slots[slot]
+                counter = loop.counter
+                if counter > context.max_function_depth:
+                    # Function-call depth beyond the supported level:
+                    # PBS treats the branch as regular (paper §V-C1).
+                    stats.deep_call_rejects += 1
+                    stats.fallbacks += 1
+                    return _REGULAR[cond]
+                key = (jmp_pc, slot, loop.function_pc if counter else 0)
+        else:
+            key = (jmp_pc, -1, 0)
 
         if key in self._blacklist:
-            self.stats.fallbacks += 1
-            return ProbDecision("regular", group.cond)
+            stats.fallbacks += 1
+            return _REGULAR[cond]
 
-        entry = self.btb.lookup(key)
+        btb = self.btb
+        entry = btb.entries.get(key)
         if entry is None:
-            entry = self._try_allocate(key, group)
+            entry = self._try_allocate(key, len(regs), const_value)
             if entry is None:
-                self.stats.fallbacks += 1
-                return ProbDecision("regular", group.cond)
+                stats.fallbacks += 1
+                return _REGULAR[cond]
+        else:
+            btb.use_clock += 1
+            entry.last_use = btb.use_clock
 
         # Const-Val safety check: the comparison constant must not change
         # within a context (paper §IV, §V-C1).
-        if entry.const_val != group.const_value:
-            self.stats.const_mismatches += 1
+        if entry.const_val != const_value:
+            stats.const_mismatches += 1
             self._release(key)
             if self.config.blacklist_on_const_mismatch:
                 self._blacklist.add(key)
-            self.stats.fallbacks += 1
-            return ProbDecision("regular", group.cond)
+            stats.fallbacks += 1
+            return _REGULAR[cond]
 
         # Record the newly generated values and outcome for a future
-        # instance (push at execute).
-        self.inflight.push(key, InFlightRecord(group.cond, list(group.values)))
-
-        if entry.record is None:
-            # Bootstrap: behave as a regular branch; pull a record into
-            # the Prob-BTB once enough instances are outstanding.
-            self.stats.bootstraps += 1
-            entry.record = self.inflight.pull_if_ready(key)
-            return ProbDecision("boot", group.cond)
-
-        # Steady state: replay the stored record, then pull the next one.
+        # instance (push at execute), then pull the oldest record into
+        # the Prob-BTB once ``inflight_depth`` instances are outstanding.
+        inflight = self.inflight
+        queue = inflight.queues.get(key)
+        if queue is None:
+            queue = inflight.queues[key] = deque()
+        queue.append((cond, values))
         record = entry.record
-        self.stats.hits += 1
-        entry.record = self.inflight.pull_if_ready(key)
-        return ProbDecision("hit", record.taken, record.values)
+        entry.record = (
+            queue.popleft() if len(queue) >= inflight.depth else None
+        )
+
+        if record is None:
+            # Bootstrap: behave as a regular branch while recording.
+            stats.bootstraps += 1
+            return _BOOT[cond]
+
+        # Steady state: replay the stored record.
+        stats.hits += 1
+        return _new_decision(ProbDecision, ("hit", record[0], record[1]))
 
     # ------------------------------------------------------------------
-    def _branch_key(self, group: ProbGroup) -> Optional[BranchKey]:
-        if not self.config.context_support:
-            return (group.jmp_pc, -1, 0)
-        context = self.context.current_context()
-        if context is None:
-            return None
-        return (group.jmp_pc, context[0], context[1])
-
-    def _try_allocate(self, key: BranchKey, group: ProbGroup):
-        num_values = len(group.regs)
+    def _try_allocate(self, key: BranchKey, num_values: int, const_value):
         if num_values > self.config.max_values_per_branch:
             self.stats.value_count_rejects += 1
             return None
@@ -177,7 +213,7 @@ class PBSEngine:
         if not self.swap.allocate(key, max(0, num_values - 1)):
             self.stats.swap_rejects += 1
             return None
-        entry = self.btb.allocate(key, 0, group.const_value, num_values)
+        entry = self.btb.allocate(key, 0, const_value, num_values)
         if entry is None:  # pragma: no cover - guarded by btb.full above
             self.swap.release(key)
             return None
@@ -197,7 +233,10 @@ class PBSEngine:
             self.inflight.release(key)
             self.stats.loop_flushes += 1
         # Blacklist entries die with their context.
-        self._blacklist = {key for key in self._blacklist if key[1] != slot}
+        if self._blacklist:
+            self._blacklist = {
+                key for key in self._blacklist if key[1] != slot
+            }
 
     # ------------------------------------------------------------------
     # Context-switch support (paper §V-C2): "we recommend storing the 193

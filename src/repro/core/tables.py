@@ -8,22 +8,14 @@ modelled exactly, and the bit-level cost lives in :mod:`repro.core.cost`.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 #: A branch identity: (PROB_JMP pc, loop slot, function call PC).
 BranchKey = Tuple[int, int, int]
 
-
-class InFlightRecord:
-    """One executed-but-not-yet-replayed instance of a probabilistic
-    branch: its outcome and the probabilistic values that produced it."""
-
-    __slots__ = ("taken", "values")
-
-    def __init__(self, taken: bool, values: List[float]):
-        self.taken = taken
-        self.values = values
+#: One executed-but-not-yet-replayed instance of a probabilistic branch:
+#: its outcome and the probabilistic values that produced it.
+InFlightRecord = Tuple[bool, List[float]]
 
 
 class ProbBTBEntry:
@@ -92,21 +84,13 @@ class ProbInFlightTable:
     One queue per tracked branch; the queue depth equals the configured
     number of outstanding in-flight instances, which is also the replay
     lag: instance *i* replays the record of instance *i - depth*.
+    :meth:`PBSEngine.transact <repro.core.engine.PBSEngine.transact>`
+    pushes and pulls the ``queues`` directly.
     """
 
     def __init__(self, depth: int):
         self.depth = depth
         self.queues: Dict[BranchKey, Deque[InFlightRecord]] = {}
-
-    def push(self, key: BranchKey, record: InFlightRecord) -> None:
-        self.queues.setdefault(key, deque()).append(record)
-
-    def pull_if_ready(self, key: BranchKey) -> Optional[InFlightRecord]:
-        """Pop the oldest record once ``depth`` instances are outstanding."""
-        queue = self.queues.get(key)
-        if queue is not None and len(queue) >= self.depth:
-            return queue.popleft()
-        return None
 
     def occupancy(self, key: BranchKey) -> int:
         queue = self.queues.get(key)
@@ -118,19 +102,17 @@ class ProbInFlightTable:
 
 class ProbBTB:
     """The Prob-BTB: a small fully-associative table of probabilistic
-    branches, indexed by (branch PC, context)."""
+    branches, indexed by (branch PC, context).
+
+    ``use_clock`` orders entries for LRU eviction; every allocation and
+    every :meth:`PBSEngine.transact
+    <repro.core.engine.PBSEngine.transact>` hit on an entry advances it.
+    """
 
     def __init__(self, entries: int):
         self.capacity = entries
         self.entries: Dict[BranchKey, ProbBTBEntry] = {}
-        self._use_clock = 0
-
-    def lookup(self, key: BranchKey) -> Optional[ProbBTBEntry]:
-        entry = self.entries.get(key)
-        if entry is not None:
-            self._use_clock += 1
-            entry.last_use = self._use_clock
-        return entry
+        self.use_clock = 0
 
     @property
     def occupancy(self) -> int:
@@ -146,8 +128,8 @@ class ProbBTB:
         if self.full:
             return None
         entry = ProbBTBEntry(key, target, const_val, num_values)
-        self._use_clock += 1
-        entry.last_use = self._use_clock
+        self.use_clock += 1
+        entry.last_use = self.use_clock
         self.entries[key] = entry
         return entry
 

@@ -62,19 +62,15 @@ def pbs_state_view(engine: PBSEngine) -> Dict[str, str]:
     a delta reads as the table contents.
     """
     state = engine.save_state()
-
-    def record(r):
-        return None if r is None else (r.taken, r.values)
-
     return {
         "btb": repr(sorted(
-            (key, entry.const_val, record(entry.record), entry.num_values,
+            (key, entry.const_val, entry.record, entry.num_values,
              entry.last_use)
             for key, entry in state["btb"].entries.items()
         )),
         "swap": repr(sorted(state["swap"].by_key.items())),
         "inflight": repr(sorted(
-            (key, [record(r) for r in queue])
+            (key, list(queue))
             for key, queue in state["inflight"].queues.items() if queue
         )),
         "context": repr([

@@ -42,7 +42,6 @@ from ..functional.executor import (
     ExecutionError,
     ExecutionLimitExceeded,
     Executor,
-    ProbGroup,
     nan_max,
     nan_min,
 )
@@ -57,7 +56,9 @@ from .base import Engine, register_engine
 #: v2: NaN-propagating MIN/MAX/FMIN/FMAX, halted flag, step variant.
 #: v3: columnar sink variant (EventBatch extends per basic block).
 #: v4: the sink flag is a bool; the per-event sink variant is gone.
-CODEGEN_VERSION = 4
+#: v5: flat PBS transact; observes only for backward branches, with the
+#: taken-into-known-loop case inline.
+CODEGEN_VERSION = 5
 
 #: Batch-mode flush threshold: the generated code delivers the pending
 #: EventBatch at the next block entry once it holds this many events
@@ -241,6 +242,16 @@ def generate_source(
         if not sink and j:
             bput(depth, f"retired += {j}")
         bput(depth, f"raise _XE({message})")
+
+    def observe_loop(depth: int, pc: int, target: int) -> None:
+        """A taken backward branch under PBS: the Context-Table's
+        taken-into-known-loop case inline (raise the loop's Last-PC);
+        allocating a new loop goes through the engine."""
+        bput(depth, f"_le = _loops_get({target})")
+        bput(depth, "if _le is None:")
+        bput(depth + 1, f"pbs_observe({pc}, True, {target})")
+        bput(depth, f"elif _le.last_pc < {pc}:")
+        bput(depth + 1, f"_le.last_pc = {pc}")
 
     def emit_event(depth: int, pc: int, d: tuple, *, next_pc,
                    cond: bool = False, taken: str = "False",
@@ -552,13 +563,11 @@ def generate_source(
                     bput(depth, f"_gr.append({dest})")
                     bput(depth, f"_gv.append(r{dest})")
                 if pbs:
-                    bput(depth, f"_dec = pbs_transact(_PG({pc}, _pend[0], "
-                                "_pend[1], _pend[2], _gr, _gv))")
-                    bput(depth, "_t = _dec.taken")
-                    bput(depth, 'if _dec.mode == "hit":')
+                    bput(depth, f"_md, _t, _sv = pbs_transact({pc}, "
+                                "_pend[1], _pend[2], _gr, _gv)")
+                    bput(depth, 'if _md == "hit":')
                     if sink:
                         bput(depth + 1, "_pm = 2")
-                    bput(depth + 1, "_sv = _dec.swap_values")
                     bput(depth + 1, "for _rn, _ov in _zip(_gr, _sv):")
                     chain = "if"
                     for candidate in sorted(swap_candidates):
@@ -599,8 +608,12 @@ def generate_source(
                     bput(depth, f"_t = not r{COND_REG_NUM}")
                 else:
                     bput(depth, f"_t = {A} {_BRANCH_SYMBOL[op]} {B}")
-                if pbs:
-                    bput(depth, f"pbs_observe({pc}, _t, {target})")
+                if pbs and target < pc:
+                    bput(depth, "if _ctx:")
+                    bput(depth + 1, "if _t:")
+                    observe_loop(depth + 2, pc, target)
+                    bput(depth + 1, "else:")
+                    bput(depth + 2, f"pbs_observe({pc}, False, {target})")
                 emit_event(
                     depth, pc, d,
                     cond=True, taken="_t", target=target,
@@ -612,8 +625,9 @@ def generate_source(
                 fall_to(depth, j, pc + 1)
             elif op is Op.JMP:
                 assert last
-                if pbs:
-                    bput(depth, f"pbs_observe({pc}, True, {target})")
+                if pbs and target < pc:
+                    bput(depth, "if _ctx:")
+                    observe_loop(depth + 1, pc, target)
                 emit_event(depth, pc, d, target=target, next_pc=target)
                 retire(depth, K)
                 goto(depth, j, target)
@@ -680,7 +694,11 @@ def generate_source(
     put(1, "_float = float; _int = int; _bool = bool; _zip = zip")
     put(1, "_fexp = _exp; _flog = _log; _fsin = _sin; _fcos = _cos")
     if pbs:
+        # The variant key does not carry the PBSConfig: loop tracking
+        # is switched by the engine's config, read once per run.
         put(1, "pbs = self.pbs")
+        put(1, "_ctx = pbs.config.context_support")
+        put(1, "_loops_get = pbs.context.loops.get")
         put(1, "pbs_observe = pbs.observe_branch")
         put(1, "pbs_observe_call = pbs.observe_call")
         put(1, "pbs_observe_return = pbs.observe_return")
@@ -756,7 +774,6 @@ def _bind(source: str, program, decoded: List[tuple]):
         "_XE": ExecutionError,
         "_XL": ExecutionLimitExceeded,
         "_B": EventBatch,
-        "_PG": ProbGroup,
         "_N": program.name,
         "_OPS": tuple(d[0] for d in decoded),
         "_CLS": tuple(OP_CLASS[d[0]] for d in decoded),

@@ -5,7 +5,6 @@ from .executor import (
     ExecutionLimitExceeded,
     Executor,
     ProbDecision,
-    ProbGroup,
     nan_max,
     nan_min,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "ExecutionLimitExceeded",
     "Executor",
     "ProbDecision",
-    "ProbGroup",
     "nan_max",
     "nan_min",
     "Drand48",

@@ -21,7 +21,7 @@ the branch behaves exactly like a regular branch.
 from __future__ import annotations
 
 from math import cos as _cos, exp as _exp, log as _log, sin as _sin
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from ..isa.opcodes import OP_CLASS, Op, evaluate_cmp
 from ..isa.program import Program
@@ -70,45 +70,18 @@ def nan_max(a, b):
     return a if a >= b else b
 
 
-class ProbGroup:
-    """A decoded PROB_CMP + PROB_JMP... group, handed to the PBS engine.
-
-    Attributes:
-        jmp_pc: PC of the final (jumping) PROB_JMP — the Prob-BTB index.
-        cmp_op: comparison operator string.
-        cond: condition computed from the *new* probabilistic value.
-        const_value: the value the probabilistic value is compared against
-            (the paper's Const-Val safety field).
-        regs: register numbers holding probabilistic values, in order
-            [PROB_CMP reg, intermediate PROB_JMP regs..., final PROB_JMP reg].
-        values: the newly generated values currently in those registers.
-    """
-
-    __slots__ = ("jmp_pc", "cmp_op", "cond", "const_value", "regs", "values")
-
-    def __init__(self, jmp_pc, cmp_op, cond, const_value, regs, values):
-        self.jmp_pc = jmp_pc
-        self.cmp_op = cmp_op
-        self.cond = cond
-        self.const_value = const_value
-        self.regs = regs
-        self.values = values
-
-
-class ProbDecision:
+class ProbDecision(NamedTuple):
     """The PBS engine's verdict for one probabilistic branch instance.
 
     ``mode`` is ``'hit'`` (replay recorded direction + swap values),
     ``'boot'`` (bootstrap: regular behaviour while recording) or
     ``'regular'`` (fallback: Const-Val mismatch, capacity, context rules).
+    Both execution tiers unpack it as ``mode, taken, swap_values``.
     """
 
-    __slots__ = ("mode", "taken", "swap_values")
-
-    def __init__(self, mode: str, taken: bool, swap_values=None):
-        self.mode = mode
-        self.taken = taken
-        self.swap_values = swap_values
+    mode: str
+    taken: bool
+    swap_values: Optional[List[float]] = None
 
 
 class Executor:
@@ -257,8 +230,8 @@ class Executor:
         # Hoisted globals/builtins: every name below is read once here
         # instead of per retired instruction.
         eval_cmp = evaluate_cmp
-        prob_decision = ProbDecision
-        prob_group = ProbGroup
+        if pbs is not None:
+            pbs_transact = pbs.transact
         _abs, _float, _int, _bool = abs, float, int, bool
         _nmin, _nmax = nan_min, nan_max
         NOT_PROB = ProbMode.NOT_PROB
@@ -419,21 +392,19 @@ class Executor:
                     else:
                         is_branch = True
                         target = target_f
-                        group = prob_group(
-                            pc, cmp_op, cond, const_value, group_regs, group_values
-                        )
                         if pbs is not None:
-                            decision = pbs.transact(group)
+                            mode, taken, swap_values = pbs_transact(
+                                pc, cond, const_value, group_regs, group_values
+                            )
                         else:
-                            decision = prob_decision("regular", cond)
-                        taken = decision.taken
-                        if decision.mode == "hit":
+                            mode, taken = "regular", cond
+                        if mode == "hit":
                             prob_mode = PBS_HIT
-                            for reg_num, old in zip(group_regs, decision.swap_values):
+                            for reg_num, old in zip(group_regs, swap_values):
                                 regs[reg_num] = old
                             regs[COND] = 1 if taken else 0
                             if record_consumed:
-                                consumed_values.append(decision.swap_values[0])
+                                consumed_values.append(swap_values[0])
                         else:
                             prob_mode = PREDICTED
                             if record_consumed:

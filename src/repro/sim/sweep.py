@@ -147,7 +147,7 @@ class RunSpec:
             session.record_consumed()
         if self.trace_store is not None:
             session.trace(self.trace_store, self.trace_mode)
-        if self.engine is not None:
+        if self.engine is not None or self.engine_options:
             session.engine(self.engine, **self.engine_options)
         return session
 

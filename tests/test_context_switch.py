@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import PBSEngine
-from repro.functional.executor import ProbGroup
+from repro.engines import create_engine
+from repro.isa import ProgramBuilder, R
 from repro.branch import AlwaysNotTaken, PerfectPredictor
 from repro.functional.trace import TraceEvent
 from repro.isa import Op, OpClass
@@ -11,14 +12,15 @@ from repro.pipeline import OoOCore, four_wide
 
 
 def group(value, pc=100, const=0.5):
-    return ProbGroup(pc, "lt", value < const, const, [40], [value])
+    """``PBSEngine.transact`` arguments for one probabilistic branch."""
+    return (pc, value < const, const, [40], [value])
 
 
 class TestContextSwitch:
     def warm_engine(self):
         engine = PBSEngine()
         for step in range(10):
-            engine.transact(group(0.05 * (step + 1)))
+            engine.transact(*group(0.05 * (step + 1)))
         return engine
 
     def test_save_restore_resumes_without_bootstrap(self):
@@ -26,13 +28,13 @@ class TestContextSwitch:
         snapshot = engine.save_state()
         engine.reset()
         engine.restore_state(snapshot)
-        assert engine.transact(group(0.9)).mode == "hit"
+        assert engine.transact(*group(0.9)).mode == "hit"
 
     def test_reset_without_restore_rebootstraps(self):
         engine = self.warm_engine()
         engine.save_state()
         engine.reset()
-        assert engine.transact(group(0.9)).mode == "boot"
+        assert engine.transact(*group(0.9)).mode == "boot"
 
     def test_restore_preserves_replay_order(self):
         engine = PBSEngine()
@@ -43,7 +45,7 @@ class TestContextSwitch:
                 snapshot = engine.save_state()
                 engine.reset()
                 engine.restore_state(snapshot)
-            decision = engine.transact(group(value))
+            decision = engine.transact(*group(value))
             if decision.mode == "hit":
                 replayed.append(decision.swap_values[0])
         # With depth 4 (+1 pre-loop instance handling not present here),
@@ -52,12 +54,12 @@ class TestContextSwitch:
 
     def test_restore_preserves_blacklist(self):
         engine = PBSEngine()
-        engine.transact(group(0.1))
-        engine.transact(ProbGroup(100, "lt", True, 0.7, [40], [0.1]))  # mismatch
+        engine.transact(*group(0.1))
+        engine.transact(100, True, 0.7, [40], [0.1])  # mismatch
         snapshot = engine.save_state()
         engine.reset()
         engine.restore_state(snapshot)
-        assert engine.transact(group(0.2)).mode == "regular"
+        assert engine.transact(*group(0.2)).mode == "regular"
 
     def test_snapshot_immune_to_later_execution(self):
         """Regression: save_state used to hand out live table references,
@@ -67,10 +69,10 @@ class TestContextSwitch:
         snapshot = engine.save_state()
         # Keep executing on a *different* value stream after the save.
         for step in range(20):
-            engine.transact(group(0.9 - 0.01 * step))
+            engine.transact(*group(0.9 - 0.01 * step))
         engine.reset()
         engine.restore_state(snapshot)
-        decision = engine.transact(group(0.9))
+        decision = engine.transact(*group(0.9))
         assert decision.mode == "hit"
         # The replayed value comes from the pre-snapshot stream (depth-4
         # lag over 0.05*(step+1)), not from the post-save mutations.
@@ -82,7 +84,7 @@ class TestContextSwitch:
         for _ in range(2):
             engine.reset()
             engine.restore_state(snapshot)
-            assert engine.transact(group(0.9)).mode == "hit"
+            assert engine.transact(*group(0.9)).mode == "hit"
 
     def test_restore_preserves_context_table(self):
         engine = PBSEngine()
@@ -90,7 +92,59 @@ class TestContextSwitch:
         snapshot = engine.save_state()
         engine.reset()
         engine.restore_state(snapshot)
-        assert engine.context.current_context() != (-1, 0)
+        assert engine.context.active >= 0
+        assert engine.context.loops[10].last_pc == 50
+
+
+def two_loops_and_a_call(engine):
+    """Two live loops (Loop-PC 1, then 50) and a call from the newer."""
+    engine.observe_branch(pc=2, taken=True, target=1)
+    engine.observe_branch(pc=90, taken=True, target=50)
+    engine.observe_call(pc=60)
+
+
+def jmp_loop():
+    """A loop at PC 1 closed by a backward JMP at PC 3, left through a
+    forward branch: the JMP raises Last-PC and never terminates it."""
+    b = ProgramBuilder("jmp-loop")
+    b.li(R(1), 0)
+    b.label("top")
+    b.add(R(1), R(1), 1)
+    b.bge(R(1), 3, "done")
+    b.jmp("top")
+    b.label("done")
+    b.halt()
+    return b.build()
+
+
+class TestRestoredContextCache:
+    """The Context-Table caches its newest slot and a Loop-PC map;
+    restoring a snapshot must rebuild both."""
+
+    def restored(self):
+        engine = PBSEngine()
+        two_loops_and_a_call(engine)
+        snapshot = engine.save_state()
+        newest = engine.context.active
+        engine.reset()
+        assert engine.context.active == -1 and not engine.context.loops
+        engine.restore_state(snapshot)
+        return engine, newest
+
+    def test_next_transact_keys_under_restored_context(self):
+        engine, newest = self.restored()
+        assert engine.transact(*group(0.1)).mode == "boot"
+        assert engine.btb.keys() == [(100, newest, 60)]
+
+    def test_compiled_run_raises_last_pc_on_restored_entry(self):
+        engine, _ = self.restored()
+        entry = engine.context.loops[1]
+        assert entry.last_pc == 2
+        detected = engine.context.loops_detected
+        create_engine("compiled").executor(jmp_loop(), pbs=engine).run()
+        assert engine.context.loops[1] is entry
+        assert entry.last_pc == 3
+        assert engine.context.loops_detected == detected
 
 
 class TestCpiStack:

@@ -3,14 +3,14 @@
 import pytest
 
 from repro.core import PBSConfig, PBSEngine, hardware_cost
-from repro.functional.executor import ProbGroup
 
 
 def group(jmp_pc=100, value=0.25, const=0.5, cmp_op="lt", extra_values=()):
+    """``PBSEngine.transact`` arguments for one probabilistic branch."""
     values = [value] + list(extra_values)
     regs = list(range(40, 40 + len(values)))
     cond = value < const if cmp_op == "lt" else value >= const
-    return ProbGroup(jmp_pc, cmp_op, cond, const, regs, values)
+    return (jmp_pc, cond, const, regs, values)
 
 
 def engine(**kwargs) -> PBSEngine:
@@ -21,15 +21,15 @@ class TestBootstrapAndReplay:
     def test_first_depth_instances_bootstrap(self):
         eng = engine(inflight_depth=4)
         for i in range(4):
-            decision = eng.transact(group(value=0.1 * (i + 1)))
+            decision = eng.transact(*group(value=0.1 * (i + 1)))
             assert decision.mode == "boot"
         assert eng.stats.bootstraps == 4
 
     def test_steady_state_hits(self):
         eng = engine(inflight_depth=4)
         for i in range(4):
-            eng.transact(group(value=0.1 * (i + 1)))
-        decision = eng.transact(group(value=0.9))
+            eng.transact(*group(value=0.1 * (i + 1)))
+        decision = eng.transact(*group(value=0.9))
         assert decision.mode == "hit"
         assert eng.stats.hits == 1
 
@@ -40,7 +40,7 @@ class TestBootstrapAndReplay:
         values = [0.01 * (i + 1) for i in range(20)]
         replayed = []
         for value in values:
-            decision = eng.transact(group(value=value))
+            decision = eng.transact(*group(value=value))
             if decision.mode == "hit":
                 replayed.append(decision.swap_values[0])
         assert replayed == values[: len(values) - depth]
@@ -51,7 +51,7 @@ class TestBootstrapAndReplay:
         eng = engine(inflight_depth=2)
         values = [0.9, 0.1, 0.7, 0.2, 0.3, 0.8]
         for value in values:
-            decision = eng.transact(group(value=value, const=0.5, cmp_op="lt"))
+            decision = eng.transact(*group(value=value, const=0.5, cmp_op="lt"))
             if decision.mode == "hit":
                 assert decision.taken == (decision.swap_values[0] < 0.5)
 
@@ -59,7 +59,7 @@ class TestBootstrapAndReplay:
     def test_bootstrap_count_equals_depth(self, depth):
         eng = engine(inflight_depth=depth)
         for i in range(depth + 10):
-            eng.transact(group(value=0.01 * (i + 1)))
+            eng.transact(*group(value=0.01 * (i + 1)))
         assert eng.stats.bootstraps == depth
         assert eng.stats.hits == 10
 
@@ -67,22 +67,22 @@ class TestBootstrapAndReplay:
 class TestCategory2:
     def test_extra_values_swapped(self):
         eng = engine(inflight_depth=1)
-        eng.transact(group(value=0.1, extra_values=(1.5,)))
-        decision = eng.transact(group(value=0.2, extra_values=(2.5,)))
+        eng.transact(*group(value=0.1, extra_values=(1.5,)))
+        decision = eng.transact(*group(value=0.2, extra_values=(2.5,)))
         assert decision.mode == "hit"
         assert decision.swap_values == [0.1, 1.5]
 
     def test_value_count_cap(self):
         eng = engine(max_values_per_branch=2)
-        decision = eng.transact(group(extra_values=(1.0, 2.0)))  # 3 values
+        decision = eng.transact(*group(extra_values=(1.0, 2.0)))  # 3 values
         assert decision.mode == "regular"
         assert eng.stats.value_count_rejects == 1
 
     def test_swap_table_capacity(self):
         # One swap entry total: the second two-value branch cannot allocate.
         eng = engine(swap_entries=1)
-        assert eng.transact(group(jmp_pc=100, extra_values=(1.0,))).mode == "boot"
-        decision = eng.transact(group(jmp_pc=200, extra_values=(2.0,)))
+        assert eng.transact(*group(jmp_pc=100, extra_values=(1.0,))).mode == "boot"
+        decision = eng.transact(*group(jmp_pc=200, extra_values=(2.0,)))
         assert decision.mode == "regular"
         assert eng.stats.swap_rejects == 1
 
@@ -90,29 +90,29 @@ class TestCategory2:
 class TestConstValSafety:
     def test_mismatch_falls_back_to_regular(self):
         eng = engine(inflight_depth=1)
-        eng.transact(group(const=0.5))
-        decision = eng.transact(group(const=0.6))
+        eng.transact(*group(const=0.5))
+        decision = eng.transact(*group(const=0.6))
         assert decision.mode == "regular"
         assert eng.stats.const_mismatches == 1
 
     def test_mismatch_blacklists_until_context_flush(self):
         eng = engine(inflight_depth=1)
-        eng.transact(group(const=0.5))
-        eng.transact(group(const=0.6))
+        eng.transact(*group(const=0.5))
+        eng.transact(*group(const=0.6))
         # Even the original constant is now refused inside this context.
-        assert eng.transact(group(const=0.5)).mode == "regular"
+        assert eng.transact(*group(const=0.5)).mode == "regular"
 
     def test_no_blacklist_when_disabled(self):
         eng = engine(inflight_depth=1, blacklist_on_const_mismatch=False)
-        eng.transact(group(const=0.5))
-        eng.transact(group(const=0.6))
+        eng.transact(*group(const=0.5))
+        eng.transact(*group(const=0.6))
         # Re-allocates with the new constant and bootstraps again.
-        assert eng.transact(group(const=0.6)).mode == "boot"
+        assert eng.transact(*group(const=0.6)).mode == "boot"
 
     def test_decision_still_correct_on_fallback(self):
         eng = engine(inflight_depth=1)
-        eng.transact(group(const=0.5))
-        decision = eng.transact(group(value=0.55, const=0.6))
+        eng.transact(*group(const=0.5))
+        decision = eng.transact(*group(value=0.55, const=0.6))
         assert decision.taken is True  # 0.55 < 0.6
 
 
@@ -122,7 +122,7 @@ class TestContextIntegration:
         # Enter a loop: backward taken branch.
         eng.observe_branch(pc=50, taken=True, target=10)
         for i in range(5):
-            eng.transact(group(value=0.1 * (i + 1)))
+            eng.transact(*group(value=0.1 * (i + 1)))
             eng.observe_branch(pc=50, taken=True, target=10)
         assert eng.stats.hits == 3
         # Loop exits; entries for it are flushed.
@@ -130,7 +130,7 @@ class TestContextIntegration:
         assert eng.stats.loop_flushes >= 1
         # Re-enter: bootstrap starts over.
         eng.observe_branch(pc=50, taken=True, target=10)
-        decision = eng.transact(group(value=0.9))
+        decision = eng.transact(*group(value=0.9))
         assert decision.mode == "boot"
 
     def test_deep_function_call_rejected(self):
@@ -138,7 +138,7 @@ class TestContextIntegration:
         eng.observe_branch(pc=50, taken=True, target=10)
         eng.observe_call(pc=20)
         eng.observe_call(pc=21)
-        decision = eng.transact(group())
+        decision = eng.transact(*group())
         assert decision.mode == "regular"
         assert eng.stats.deep_call_rejects == 1
 
@@ -146,17 +146,17 @@ class TestContextIntegration:
         eng = engine(inflight_depth=1)
         eng.observe_branch(pc=50, taken=True, target=10)
         eng.observe_call(pc=20)
-        assert eng.transact(group()).mode == "boot"
-        assert eng.transact(group()).mode == "hit"
+        assert eng.transact(*group()).mode == "boot"
+        assert eng.transact(*group()).mode == "hit"
 
     def test_distinct_call_sites_distinct_entries(self):
         eng = engine(inflight_depth=1)
         eng.observe_branch(pc=50, taken=True, target=10)
         eng.observe_call(pc=20)
-        eng.transact(group(value=0.11))
+        eng.transact(*group(value=0.11))
         eng.observe_return(pc=30)
         eng.observe_call(pc=25)
-        decision = eng.transact(group(value=0.22))
+        decision = eng.transact(*group(value=0.22))
         # Different call site: a separate entry, still bootstrapping.
         assert decision.mode == "boot"
         assert eng.stats.allocations == 2
@@ -164,37 +164,37 @@ class TestContextIntegration:
     def test_context_support_disabled_uses_pc_only(self):
         eng = engine(inflight_depth=1, context_support=False)
         eng.observe_branch(pc=50, taken=True, target=10)
-        eng.transact(group())
+        eng.transact(*group())
         eng.observe_branch(pc=50, taken=False, target=10)  # would flush
-        assert eng.transact(group()).mode == "hit"
+        assert eng.transact(*group()).mode == "hit"
 
 
 class TestCapacity:
     def test_distinct_branches_tracked_up_to_capacity(self):
         eng = engine(num_branches=2, inflight_depth=1)
-        assert eng.transact(group(jmp_pc=100)).mode == "boot"
-        assert eng.transact(group(jmp_pc=200)).mode == "boot"
-        assert eng.transact(group(jmp_pc=100)).mode == "hit"
-        assert eng.transact(group(jmp_pc=200)).mode == "hit"
+        assert eng.transact(*group(jmp_pc=100)).mode == "boot"
+        assert eng.transact(*group(jmp_pc=200)).mode == "boot"
+        assert eng.transact(*group(jmp_pc=100)).mode == "hit"
+        assert eng.transact(*group(jmp_pc=200)).mode == "hit"
 
     def test_full_table_rejects_same_context_overflow(self):
         eng = engine(num_branches=2, inflight_depth=1)
         eng.observe_branch(pc=50, taken=True, target=10)  # active loop
-        eng.transact(group(jmp_pc=100))
-        eng.transact(group(jmp_pc=200))
-        decision = eng.transact(group(jmp_pc=300))
+        eng.transact(*group(jmp_pc=100))
+        eng.transact(*group(jmp_pc=200))
+        decision = eng.transact(*group(jmp_pc=300))
         assert decision.mode == "regular"
         assert eng.stats.capacity_rejects == 1
 
     def test_full_table_evicts_stale_context_first(self):
         eng = engine(num_branches=2, inflight_depth=1)
         # Two entries allocated outside any loop (slot -1).
-        eng.transact(group(jmp_pc=100))
-        eng.transact(group(jmp_pc=200))
+        eng.transact(*group(jmp_pc=100))
+        eng.transact(*group(jmp_pc=200))
         # Enter a loop; the no-loop context is flushed, so the new branch
         # allocates cleanly.
         eng.observe_branch(pc=50, taken=True, target=10)
-        assert eng.transact(group(jmp_pc=300)).mode == "boot"
+        assert eng.transact(*group(jmp_pc=300)).mode == "boot"
         assert eng.stats.capacity_rejects == 0
 
 
@@ -236,8 +236,8 @@ class TestReset:
     def test_reset_restores_cold_state(self):
         eng = engine(inflight_depth=1)
         eng.observe_branch(pc=50, taken=True, target=10)
-        eng.transact(group())
-        eng.transact(group())
+        eng.transact(*group())
+        eng.transact(*group())
         eng.reset()
         assert eng.stats.instances == 0
-        assert eng.transact(group()).mode == "boot"
+        assert eng.transact(*group()).mode == "boot"

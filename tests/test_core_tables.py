@@ -1,11 +1,14 @@
-"""Direct unit tests for the PBS hardware tables."""
+"""Direct unit tests for the PBS hardware tables.
 
-import pytest
+``PBSEngine.transact`` reads and updates the tables directly (Prob-BTB
+lookup and LRU touch, in-flight push and pull), so the in-flight queue
+tests drive it through the engine.
+"""
 
 from repro.core import (
-    InFlightRecord,
+    PBSConfig,
+    PBSEngine,
     ProbBTB,
-    ProbInFlightTable,
     SwapTable,
 )
 
@@ -16,19 +19,19 @@ KEY_C = (300, 1, 0)
 
 class TestProbBTB:
     def test_lookup_miss(self):
-        assert ProbBTB(4).lookup(KEY_A) is None
+        assert ProbBTB(4).entries.get(KEY_A) is None
 
     def test_allocate_and_lookup(self):
         btb = ProbBTB(4)
         entry = btb.allocate(KEY_A, target=5, const_val=0.5, num_values=1)
-        assert btb.lookup(KEY_A) is entry
+        assert btb.entries[KEY_A] is entry
         assert entry.const_val == 0.5
         assert not entry.valid  # no record pulled yet
 
     def test_entry_valid_once_record_present(self):
         btb = ProbBTB(4)
         entry = btb.allocate(KEY_A, 0, 0.5, 1)
-        entry.record = InFlightRecord(True, [0.3])
+        entry.record = (True, [0.3])
         assert entry.valid
 
     def test_capacity(self):
@@ -43,7 +46,7 @@ class TestProbBTB:
         btb.allocate(KEY_A, 0, 0.5, 1)
         btb.invalidate(KEY_A)
         assert not btb.full
-        assert btb.lookup(KEY_A) is None
+        assert KEY_A not in btb.entries
 
     def test_invalidate_missing_key_is_noop(self):
         ProbBTB(1).invalidate(KEY_A)  # must not raise
@@ -54,16 +57,17 @@ class TestProbBTB:
         btb.allocate(KEY_C, 0, 0.5, 1)   # slot 1
         victims = btb.flush_loop_slot(0)
         assert victims == [KEY_A]
-        assert btb.lookup(KEY_A) is None
-        assert btb.lookup(KEY_C) is not None
+        assert btb.keys() == [KEY_C]
 
     def test_evict_candidate_prefers_lru_outside_active_slot(self):
-        btb = ProbBTB(2)
-        btb.allocate(KEY_A, 0, 0.5, 1)
-        btb.allocate(KEY_C, 0, 0.5, 1)
-        btb.lookup(KEY_A)  # KEY_A becomes MRU
-        # Active slot 7: both entries are candidates, KEY_C is LRU.
-        assert btb.evict_candidate(active_slot=7) == KEY_C
+        engine = PBSEngine(PBSConfig(num_branches=2,
+                                     context_support=False))
+        btb = engine.btb
+        engine.transact(100, True, 0.5, [40], [0.1])
+        engine.transact(300, True, 0.5, [40], [0.1])
+        engine.transact(100, True, 0.5, [40], [0.1])  # 100 becomes MRU
+        # Active slot 7: both entries are candidates, 300 is LRU.
+        assert btb.evict_candidate(active_slot=7) == (300, -1, 0)
 
     def test_evict_candidate_never_picks_active_slot(self):
         btb = ProbBTB(1)
@@ -100,32 +104,42 @@ class TestSwapTable:
         assert table.free == 1
 
 
+def transact(engine, key, taken=True, value=0.1):
+    return engine.transact(key[0], taken, 0.5, [40], [value])
+
+
 class TestProbInFlightTable:
     def test_pull_requires_depth_records(self):
-        table = ProbInFlightTable(depth=3)
-        table.push(KEY_A, InFlightRecord(True, [0.1]))
-        table.push(KEY_A, InFlightRecord(False, [0.2]))
-        assert table.pull_if_ready(KEY_A) is None
-        table.push(KEY_A, InFlightRecord(True, [0.3]))
-        record = table.pull_if_ready(KEY_A)
-        assert record is not None
-        assert record.values == [0.1]  # FIFO: oldest first
+        engine = PBSEngine(PBSConfig(inflight_depth=3,
+                                     context_support=False))
+        for value in (0.1, 0.2):
+            transact(engine, KEY_A, value=value)
+        assert engine.btb.entries[(100, -1, 0)].record is None
+        transact(engine, KEY_A, value=0.3)
+        # FIFO: the oldest record is pulled first.
+        assert engine.btb.entries[(100, -1, 0)].record == (True, [0.1])
 
     def test_queues_are_per_key(self):
-        table = ProbInFlightTable(depth=1)
-        table.push(KEY_A, InFlightRecord(True, [0.1]))
-        assert table.pull_if_ready(KEY_B) is None
-        assert table.pull_if_ready(KEY_A).values == [0.1]
+        engine = PBSEngine(PBSConfig(inflight_depth=1,
+                                     context_support=False))
+        transact(engine, KEY_A, value=0.1)
+        assert engine.btb.entries[(100, -1, 0)].record == (True, [0.1])
+        assert (200, -1, 0) not in engine.inflight.queues
+        assert transact(engine, KEY_B).mode == "boot"
 
     def test_occupancy(self):
-        table = ProbInFlightTable(depth=4)
-        assert table.occupancy(KEY_A) == 0
-        table.push(KEY_A, InFlightRecord(True, [0.1]))
-        assert table.occupancy(KEY_A) == 1
+        engine = PBSEngine(PBSConfig(inflight_depth=4,
+                                     context_support=False))
+        table = engine.inflight
+        assert table.occupancy((100, -1, 0)) == 0
+        transact(engine, KEY_A)
+        assert table.occupancy((100, -1, 0)) == 1
 
     def test_release_clears_queue(self):
-        table = ProbInFlightTable(depth=1)
-        table.push(KEY_A, InFlightRecord(True, [0.1]))
-        table.release(KEY_A)
-        assert table.occupancy(KEY_A) == 0
-        assert table.pull_if_ready(KEY_A) is None
+        engine = PBSEngine(PBSConfig(inflight_depth=2,
+                                     context_support=False))
+        transact(engine, KEY_A)
+        engine.inflight.release((100, -1, 0))
+        assert engine.inflight.occupancy((100, -1, 0)) == 0
+        transact(engine, KEY_A)
+        assert engine.btb.entries[(100, -1, 0)].record is None

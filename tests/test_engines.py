@@ -291,6 +291,20 @@ class TestEngineThreading:
         plain = RunSpec(workload="pi", scale=0.02, seed=1)
         assert spec.digest() == plain.digest()  # tiers never split the cache
 
+    def test_sweep_engine_options_reach_the_default_tier(self, tmp_path):
+        """Options without an engine name configure the default tier:
+        the compiled tier's codegen store must come into being."""
+        store = tmp_path / "codegen"
+        spec = RunSpec(workload="pi", scale=0.02, seed=1,
+                       engine_options={"cache_dir": str(store)})
+        result = spec.session().run()
+        assert result.engine_used == "compiled"
+        assert store.is_dir()
+        Sweep(workloads=["pi"], scales=[0.02], seeds=[1], modes=["base"],
+              engine_options={"cache_dir": str(tmp_path / "grid")}).run(
+                  executor="serial")
+        assert (tmp_path / "grid").is_dir()
+
     def test_sweep_unknown_engine_fails_fast(self):
         with pytest.raises(KeyError, match="registered engines"):
             Sweep(workloads=["pi"], engine="turbo")
