@@ -224,7 +224,7 @@ def test_bench_tagescl_prediction(benchmark):
 
 
 #: Rounds per PBS layer row: single rounds swing ±30% on a shared host.
-PBS_LAYER_ROUNDS = 5
+PBS_LAYER_ROUNDS = 9
 
 
 @pytest.mark.parametrize("name", ("bandit", "genetic"))

@@ -85,9 +85,9 @@ class ContextTable:
     def _recache(self) -> None:
         """Rebuild ``loops`` (in place) and ``active`` from the slots."""
         self.loops.clear()
-        for entry in self.slots:
-            if entry is not None:
-                self.loops.setdefault(entry.loop_pc, entry)
+        self.loops.update(
+            (entry.loop_pc, entry) for entry in self.slots if entry is not None
+        )
         self._reactivate()
 
     def _reactivate(self) -> None:
@@ -104,8 +104,7 @@ class ContextTable:
         entry = self.slots[slot]
         if entry is not None:
             self.slots[slot] = None
-            if self.loops.get(entry.loop_pc) is entry:
-                del self.loops[entry.loop_pc]
+            del self.loops[entry.loop_pc]
             if slot == self.active:
                 self._reactivate()
             if self.on_flush is not None:
